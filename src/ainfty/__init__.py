@@ -6,11 +6,12 @@ direct quadratic identity and the square of the induced tensor-coalgebra
 coderivation), ships a three-element example that carries such a structure
 at every arity, and produces the induced symmetrized (bracket-style) data.
 
-All arithmetic is exact rational; sweeps optionally run through a compiled
-kernel (see ``ainfty._backend``) without changing any result.
+All arithmetic is exact rational; the exhaustive sweeps (see
+``ainfty._backend``) run the same per-word cores as the public defect
+functions.
 """
 
-from ._backend import active_backend, kernel_available
+from ._backend import active_backend
 from .engine import (
     AStructure,
     MultiMap,
@@ -94,7 +95,6 @@ __all__ = [
     "example_m",
     "example_mprime",
     "example_structure",
-    "kernel_available",
     "koszul_permutation_sign",
     "lemma1_check",
     "lemma2_top_sum_check",

@@ -1,76 +1,38 @@
-"""Exhaustive sweep dispatch: compiled kernel when available, pure otherwise.
+"""The exhaustive sweep: every basis word of each (check, arity) cell.
 
 The per-word defect functions in ``engine`` are the reference
-implementation.  This module runs them over every basis word of each arity
-and, when the optional compiled extension imports and the structure fits
-its limits (int64 coefficients, <= 255 basis elements, arity <= 64), routes
-the sweep through the compiled twin instead.  ``AINFTY_PURE=1`` forces the
-pure path; ``AINFTY_THREADS=N`` spreads arities across N worker processes.
-Results are identical, deterministically ordered, on every path.
+implementation.  This module runs their raw cores over every basis word of
+each arity, collects the nonzero defects, and turns them into report
+records in a deterministic order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .engine import AStructure, _coderivation_terms, _prune, _stasheff_vec
+from .engine import AStructure, _d_squared_raw, _stasheff_vec
 from .errors import InputError
 from .graded import GradedSpace, Word
 from .report import CheckRecord, Failure
 
-try:
-    from . import _kernel
-except ImportError:  # extension not built; pure path only
-    _kernel = None
-
-_INT64_MAX = 2**63 - 1
-
-# failures as raw data, picklable across worker processes:
-# (input word, [(defect word, coefficient), ...])
+# a failure as raw data: (input word, [(defect word, coefficient), ...])
 RawFailure = tuple[Word, list[tuple[Word, Fraction]]]
 
 
-def kernel_available() -> bool:
-    return _kernel is not None
-
-
 def active_backend() -> str:
-    """The backend sweeps will use right now, honoring AINFTY_PURE."""
-    if _kernel is None or os.environ.get("AINFTY_PURE"):
-        return "pure"
-    return "compiled"
+    """The sweep implementation in use; there is only the pure one."""
+    return "pure"
 
 
-def worker_count() -> int:
-    raw = os.environ.get("AINFTY_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise InputError("AINFTY_THREADS must be a positive integer")
-    return n
-
-
-def _pure_sweep(structure: AStructure, check: str, arity: int) -> list[RawFailure]:
+def _sweep_one(structure: AStructure, check: str, arity: int) -> list[RawFailure]:
+    """Sweep one (check, arity) cell and return its nonzero defects."""
     space = structure.space
     degrees = space.degrees
     tables = structure.tables_up_to(arity)
     failures: list[RawFailure] = []
     if check == "coderivation":
-        one = Fraction(1)
         for word in space.basis_words(arity):
-            first: dict[Word, Fraction] = {}
-            _coderivation_terms(tables, degrees, word, one, first)
-            acc: dict[Word, Fraction] = {}
-            for mid, coeff in first.items():
-                if coeff:
-                    _coderivation_terms(tables, degrees, mid, coeff, acc)
-            acc = _prune(acc)
+            acc = _d_squared_raw(tables, degrees, word)
             if acc:
                 failures.append((word, list(acc.items())))
     elif check == "direct":
@@ -81,57 +43,6 @@ def _pure_sweep(structure: AStructure, check: str, arity: int) -> list[RawFailur
     else:
         raise InputError(f"unknown check {check!r}")
     return failures
-
-
-def _kernel_state(structure: AStructure, max_arity: int):
-    """Compiled-kernel snapshot of the structure, or None if ineligible."""
-    if _kernel is None or os.environ.get("AINFTY_PURE"):
-        return None
-    space = structure.space
-    if space.dim > 255 or max_arity > _kernel.MAX_ARITY:
-        return None
-    if space.dim**max_arity > 2**62:
-        return None
-    entries = []
-    for k, table in structure.tables_up_to(max_arity).items():
-        for w, vec in table.items():
-            outs = []
-            for b, c in vec.items():
-                if abs(c.numerator) > _INT64_MAX or c.denominator > _INT64_MAX:
-                    return None
-                outs.append((b, c.numerator, c.denominator))
-            entries.append((k, w, outs))
-    try:
-        return _kernel.KernelStructure(list(space.degrees), entries)
-    except _kernel.KernelUnsupported:
-        return None
-
-
-def _sweep_one(structure: AStructure, check: str, arity: int) -> list[RawFailure]:
-    """Sweep one (check, arity) cell, preferring the compiled kernel."""
-    state = _kernel_state(structure, arity)
-    if state is not None:
-        total = structure.space.dim**arity
-        try:
-            if check == "coderivation":
-                raw = state.sweep_coderivation(arity, 0, total)
-                return [
-                    (word, [(dw, Fraction(p, q)) for dw, p, q in defect])
-                    for word, defect in raw
-                ]
-            raw = state.sweep_direct(arity, 0, total)
-            return [
-                (word, [((b,), Fraction(p, q)) for b, p, q in defect])
-                for word, defect in raw
-            ]
-        except _kernel.KernelOverflow:
-            pass  # coefficients outgrew int64 mid-sweep; redo exactly in pure
-    return _pure_sweep(structure, check, arity)
-
-
-def _sweep_task(args) -> tuple[str, int, list[RawFailure]]:
-    structure, check, arity = args
-    return check, arity, _sweep_one(structure, check, arity)
 
 
 def _to_record(
@@ -157,24 +68,10 @@ def run_checks(
 ) -> list[CheckRecord]:
     """Run the selected checks over arities 1..max_arity; deterministic order."""
     by_check = {"direct": unprimed, "coderivation": primed}
-    jobs = [
-        (by_check[check], check, arity)
-        for check in checks
-        for arity in range(1, max_arity + 1)
-    ]
-    results: dict[tuple[str, int], list[RawFailure]] = {}
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            for check, arity, failures in pool.map(_sweep_task, jobs):
-                results[(check, arity)] = failures
-    else:
-        for job in jobs:
-            check, arity, failures = _sweep_task(job)
-            results[(check, arity)] = failures
     records = []
     for check in checks:
-        space = by_check[check].space
+        structure = by_check[check]
         for arity in range(1, max_arity + 1):
-            records.append(_to_record(space, check, arity, results[(check, arity)]))
+            failures = _sweep_one(structure, check, arity)
+            records.append(_to_record(structure.space, check, arity, failures))
     return records

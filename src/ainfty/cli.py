@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Exit codes partition the outcomes: 0 = all requested checks pass, 1 = a
-verification check failed, 2 = usage or parse error.  Reports go to
-standard output, diagnostics to standard error.
+verification check found a nonzero defect, 2 = usage, input or parse
+error, 3 = internal error (a bug in this package).  Reports go to standard
+output, diagnostics to standard error; no outcome prints a traceback.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from .engine import AStructure, apply_map, d_squared, prime, verify_structure
-from .errors import AinftyError
+from .errors import AinftyError, InputError
 from .example import BUILTIN_STRUCTURES, lemma1_check
 from .formats import parse_structure
 from .graded import TensorPoly, Vector
@@ -21,12 +22,18 @@ from .report import emit_report
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _load_structure(args) -> AStructure:
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"{args.input}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
         return parse_structure(text, name=args.input)
     name = args.builtin or "paper-example"
     try:
@@ -121,6 +128,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lemma1(args) -> int:
+    if args.max_arity < 1:
+        raise InputError("max_arity must be >= 1")
     ok = True
     for n in range(1, args.max_arity + 1):
         good = lemma1_check(n)
@@ -186,6 +195,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not a verdict: keep exit 1 for defects
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -10,8 +10,8 @@ defining identities are implemented side by side:
   shifted space, extends them to a coderivation D of the tensor coalgebra,
   and evaluates D(D(word)), which must vanish.
 
-The per-word functions here are the pure reference path; ``_backend``
-selects a compiled twin of the exhaustive sweeps when it is available.
+The per-word functions here are the reference oracle; ``_backend`` runs
+their raw cores over every basis word for the exhaustive sweeps.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ class AStructure:
         )
 
     def snapshot(self, max_arity: int) -> "AStructure":
-        """A finite copy holding the maps of arity 1..max_arity (picklable)."""
+        """A finite copy holding the maps of arity 1..max_arity."""
         maps = {}
         for k in range(1, max_arity + 1):
             m = self.map_at(k)
@@ -309,21 +309,28 @@ def d_apply(s: AStructure, p: TensorPoly) -> TensorPoly:
     return TensorPoly._raw(s.space, _prune(acc))
 
 
-def d_squared(s: AStructure, w: Word) -> TensorPoly:
-    """D(D(word)); the zero polynomial exactly when the identities hold there."""
-    if not s.primed:
-        raise InputError("d_squared needs a primed structure")
-    w = tuple(w)
-    s.space.check_word(w)
-    degrees = s.space.degrees
-    tables = s.tables_up_to(len(w))
+def _d_squared_raw(
+    tables: Tables, degrees: tuple[int, ...], w: Word
+) -> dict[Word, Fraction]:
+    """D(D(word)) on one unchecked word, as a pruned raw word -> coeff dict."""
     first: dict[Word, Fraction] = {}
     _coderivation_terms(tables, degrees, w, Fraction(1), first)
     acc: dict[Word, Fraction] = {}
     for word, coeff in first.items():
         if coeff:
             _coderivation_terms(tables, degrees, word, coeff, acc)
-    return TensorPoly._raw(s.space, _prune(acc))
+    return _prune(acc)
+
+
+def d_squared(s: AStructure, w: Word) -> TensorPoly:
+    """D(D(word)); the zero polynomial exactly when the identities hold there."""
+    if not s.primed:
+        raise InputError("d_squared needs a primed structure")
+    w = tuple(w)
+    s.space.check_word(w)
+    return TensorPoly._raw(
+        s.space, _d_squared_raw(s.tables_up_to(len(w)), s.space.degrees, w)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +392,7 @@ def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Repor
 
     ``mode`` selects the direct identity, the coderivation square, or both.
     Enumeration is lexicographic in basis index and the report ordering is
-    deterministic regardless of worker count or backend.
+    deterministic.
     """
     from . import _backend  # deferred: _backend imports this module's internals
 

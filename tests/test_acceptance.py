@@ -39,10 +39,9 @@ def _verdict(num: int, label: str, ok: bool) -> None:
     print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}")
 
 
-def test_criterion_1_coderivation_sweep_to_arity_8(monkeypatch, capsys):
+def test_criterion_1_coderivation_sweep_to_arity_8(capsys):
     ok = False
     try:
-        monkeypatch.delenv("AINFTY_THREADS", raising=False)
         start = time.perf_counter()
         code = run_cli(
             ["verify", "--builtin", "paper-example", "--check", "coderivation",

@@ -1,73 +1,74 @@
-"""Backend selection, compiled/pure agreement, workers, overflow fallback."""
+"""The exhaustive sweep against the literal per-word oracle, and exactness."""
 
-import os
-from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty import (
     AStructure,
     BasisElement,
+    CheckRecord,
+    Failure,
     GradedSpace,
     MultiMap,
-    InputError,
+    Report,
     active_backend,
+    d_squared,
     example_structure,
-    kernel_available,
+    stasheff_defect,
     verify_structure,
 )
-from ainfty._backend import worker_count
 from conftest import graded_spaces, homogeneous_multimaps
 from test_engine import mutated_structure
 
-needs_kernel = pytest.mark.skipif(
-    not kernel_available(), reason="compiled kernel not built"
-)
+
+def oracle_report(s: AStructure, max_arity: int) -> Report:
+    """Both checks built word by word from stasheff_defect and d_squared."""
+    space = s.space
+    names = space.word_names
+    unprimed, primed = s.unprimed_version(), s.primed_version()
+    records = []
+    for check in ("direct", "coderivation"):
+        for n in range(1, max_arity + 1):
+            failures = []
+            for word in space.basis_words(n):
+                if check == "direct":
+                    defect = {(b,): c for b, c in stasheff_defect(unprimed, word).items()}
+                else:
+                    defect = d_squared(primed, word).terms
+                if defect:
+                    terms = tuple(
+                        (defect[w], names(w))
+                        for w in sorted(defect, key=lambda w: (len(w), w))
+                    )
+                    failures.append(Failure(word=names(word), defect=terms))
+            records.append(CheckRecord(check, n, space.dim**n, tuple(failures)))
+    return Report(s.name, space.convention, max_arity, tuple(records))
 
 
-@contextmanager
-def pure_forced():
-    os.environ["AINFTY_PURE"] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop("AINFTY_PURE", None)
+def assert_sweep_matches_oracle(s: AStructure, max_arity: int) -> Report:
+    report = verify_structure(s, max_arity, mode="both")
+    assert report == oracle_report(s, max_arity)
+    return report
 
 
-def both_backends(structure, max_arity, mode):
-    with pure_forced():
-        pure = verify_structure(structure, max_arity, mode=mode)
-    compiled = verify_structure(structure, max_arity, mode=mode)
-    return pure, compiled
+def test_active_backend_is_pure():
+    assert active_backend() == "pure"
 
 
-def test_backend_selection_reflects_env():
-    if kernel_available() and not os.environ.get("AINFTY_PURE"):
-        assert active_backend() == "compiled"
-    with pure_forced():
-        assert active_backend() == "pure"
+def test_sweep_matches_oracle_on_the_example():
+    assert assert_sweep_matches_oracle(example_structure(), 5).passed
 
 
-@needs_kernel
-def test_backends_agree_on_the_example():
-    pure, compiled = both_backends(example_structure(), 5, "both")
-    assert pure == compiled
-    assert compiled.passed
+def test_sweep_matches_oracle_on_failures():
+    report = assert_sweep_matches_oracle(mutated_structure(), 4)
+    assert not report.passed
+    assert all(rec.failures for rec in report.checks if rec.arity >= 2)
 
 
-@needs_kernel
-def test_backends_agree_on_failures():
-    pure, compiled = both_backends(mutated_structure(), 4, "both")
-    assert pure == compiled
-    assert not compiled.passed
-
-
-@needs_kernel
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_backends_agree_on_random_structures(data):
+def test_sweep_matches_oracle_on_random_structures(data):
     space = data.draw(graded_spaces(max_dim=3))
     maps = {}
     for arity in (1, 2, 3):
@@ -78,14 +79,11 @@ def test_backends_agree_on_random_structures(data):
             maps[arity] = m
     if not maps:
         maps = {1: MultiMap(space, 1, {})}
-    s = AStructure(space, maps=maps, name="random")
-    pure, compiled = both_backends(s, 3, "both")
-    assert pure == compiled
+    assert_sweep_matches_oracle(AStructure(space, maps=maps, name="random"), 3)
 
 
-@needs_kernel
-def test_kernel_falls_back_on_wide_coefficients():
-    """Coefficients beyond int64 must be rejected up front, not truncated."""
+def test_wide_coefficients_stay_exact():
+    """Coefficients far beyond any machine word are carried exactly."""
     space = GradedSpace((BasisElement("a", 0), BasisElement("b", 1)))
     big = Fraction(2**80)
     s = AStructure(
@@ -93,17 +91,12 @@ def test_kernel_falls_back_on_wide_coefficients():
         maps={1: MultiMap(space, 1, {(0,): {1: big}})},
         name="wide",
     )
-    from ainfty._backend import _kernel_state
-
-    assert _kernel_state(s, 2) is None
-    # the sweep itself still runs (pure) and is exact
-    report = verify_structure(s, 2, mode="both")
-    assert report.passed  # nothing above arity 1 exists; b has no outgoing map
+    # nothing above arity 1 exists and b has no outgoing map
+    assert assert_sweep_matches_oracle(s, 2).passed
 
 
-@needs_kernel
-def test_kernel_overflow_mid_sweep_falls_back_exactly():
-    """int64-fitting inputs whose products overflow must end up exact anyway."""
+def test_large_products_stay_exact():
+    """Coefficients whose products exceed 64 bits give the exact defect."""
     space = GradedSpace(
         (BasisElement("a", 0), BasisElement("b", 1), BasisElement("c", 2))
     )
@@ -112,25 +105,6 @@ def test_kernel_overflow_mid_sweep_falls_back_exactly():
         1: MultiMap(space, 1, {(0,): {1: big}, (1,): {2: big}}),
     }
     s = AStructure(space, maps=maps, name="overflowing")
-    report = verify_structure(s, 1, mode="coderivation")
-    assert not report.passed
-    assert report.checks[0].failures[0].defect == ((Fraction(2**80), ("c",)),)
-
-
-def test_worker_count_parsing(monkeypatch):
-    assert worker_count() == 1
-    monkeypatch.setenv("AINFTY_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("AINFTY_THREADS", "0")
-    with pytest.raises(InputError):
-        worker_count()
-    monkeypatch.setenv("AINFTY_THREADS", "many")
-    with pytest.raises(InputError):
-        worker_count()
-
-
-def test_parallel_sweep_matches_sequential(monkeypatch):
-    sequential = verify_structure(mutated_structure(), 3, mode="both")
-    monkeypatch.setenv("AINFTY_THREADS", "2")
-    parallel = verify_structure(mutated_structure(), 3, mode="both")
-    assert parallel == sequential
+    report = assert_sweep_matches_oracle(s, 2)
+    coderivation = [rec for rec in report.checks if rec.check == "coderivation"]
+    assert coderivation[0].failures[0].defect == ((Fraction(2**80), ("c",)),)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ainfty import serialize_structure
+from ainfty import cli, serialize_structure
 from ainfty.cli import run_cli
 from test_engine import mutated_structure, truncated_example
 
@@ -74,6 +74,37 @@ def test_verify_missing_file_exits_two(capsys):
     code = run_cli(["verify", "--input", "/no/such/file", "--max-arity", "2"])
     assert code == 2
     assert capsys.readouterr().err
+
+
+def test_verify_non_utf8_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "utf16.astr"
+    bad.write_bytes(b"\xff\xfeainfty v1\n")
+    code = run_cli(["verify", "--input", str(bad), "--max-arity", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_lemma1_rejects_nonpositive_arity(capsys):
+    assert run_cli(["lemma1", "--max-arity", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "result" not in captured.out
+    assert "max_arity" in captured.err
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("invariant violated")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    code = run_cli(["verify", "--max-arity", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: ")
+    assert "invariant violated" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_two(capsys):

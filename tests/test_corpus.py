@@ -1,0 +1,28 @@
+"""Golden corpus: machine reports must keep their pinned sha256 and exit code.
+
+Each case in ``corpus/expected.json`` is one CLI invocation, run from inside
+``corpus/`` because a file's report names the structure by the path given.
+The hashes were recorded before the sweep was last refactored; a change
+that alters any report byte fails here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from ainfty.cli import run_cli
+
+CORPUS = Path(__file__).parent / "corpus"
+EXPECTED = json.loads((CORPUS / "expected.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_corpus_report_is_byte_identical(name, monkeypatch, capsysbinary):
+    case = EXPECTED[name]
+    monkeypatch.chdir(CORPUS)
+    code = run_cli(case["argv"])
+    report = capsysbinary.readouterr().out
+    assert code == case["exit"]
+    assert hashlib.sha256(report).hexdigest() == case["sha256"]

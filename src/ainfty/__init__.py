@@ -6,9 +6,9 @@ direct quadratic identity and the square of the induced tensor-coalgebra
 coderivation), ships a three-element example that carries such a structure
 at every arity, and produces the induced symmetrized (bracket-style) data.
 
-All arithmetic is exact rational; the exhaustive sweeps (see
-``ainfty._backend``) run the same per-word cores as the public defect
-functions.
+All arithmetic is exact rational; the sweeps (see ``ainfty._backend``)
+run the same per-word cores as the public defect functions, the direct one
+only on the words that the supports of the maps can reach.
 """
 
 from ._backend import active_backend

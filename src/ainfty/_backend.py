@@ -1,16 +1,20 @@
-"""The exhaustive sweep: every basis word of each (check, arity) cell.
+"""The sweeps: every basis word of each (check, arity) cell is certified.
 
 The per-word defect functions in ``engine`` are the reference
-implementation.  This module runs their raw cores over every basis word of
-each arity, collects the nonzero defects, and turns them into report
-records in a deterministic order.
+implementation.  This module runs their raw cores over the words of each
+arity, collects the nonzero defects, and turns them into report records in
+a deterministic order.  The coderivation sweep visits every basis word.
+The direct sweep evaluates only the words that the supports of the maps
+can reach (``_direct_candidates``); every other word is zero by
+construction, so each record still certifies all ``dim**n`` words.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
-from .engine import AStructure, _d_squared_raw, _stasheff_vec
+from .engine import AStructure, Tables, _d_squared_raw, _stasheff_vec
 from .errors import InputError
 from .graded import GradedSpace, Word
 from .report import CheckRecord, Failure
@@ -22,6 +26,47 @@ RawFailure = tuple[Word, list[tuple[Word, Fraction]]]
 def active_backend() -> str:
     """The sweep implementation in use; there is only the pure one."""
     return "pure"
+
+
+def _direct_candidates(tables: Tables, space: GradedSpace, n: int) -> Iterable[Word]:
+    """The arity-n words at which the direct identity can be nonzero.
+
+    A term of the identity at a word x pairs an inner entry v = x[lam:lam+k]
+    of m_k with an outer entry u = x[:lam] + (b,) + x[lam+k:] of m_{n-k+1},
+    where b is a letter of v's output.  So x = u[:lam] + v + u[lam+1:] for
+    some outer entry u and inner entry v whose output contains u[lam].  At
+    any other word every term meets an absent table entry, and the defect
+    is zero by construction.  The coderivation and linfty sweeps do not use
+    this and still visit every word.
+
+    Each inner table is indexed by output letter and the (u, lam, v)
+    triples are counted first.  When they number at least dim**n (dense
+    tables), the candidates cannot be fewer than the words, so all words
+    are iterated lazily instead of materializing a set.
+    """
+    pairs = []
+    triples = 0
+    for k in range(1, n + 1):
+        inner, outer = tables.get(k), tables.get(n - k + 1)
+        if not inner or not outer:
+            continue
+        by_letter: dict[int, list[Word]] = {}
+        for v, vec in inner.items():
+            for b in vec:
+                by_letter.setdefault(b, []).append(v)
+        for u in outer:
+            for letter in u:
+                triples += len(by_letter.get(letter, ()))
+        pairs.append((outer, by_letter))
+    if triples >= space.dim**n:
+        return space.basis_words(n)
+    return {
+        u[:lam] + v + u[lam + 1 :]
+        for outer, by_letter in pairs
+        for u in outer
+        for lam, letter in enumerate(u)
+        for v in by_letter.get(letter, ())
+    }
 
 
 def _sweep_one(structure: AStructure, check: str, arity: int) -> list[RawFailure]:
@@ -36,7 +81,7 @@ def _sweep_one(structure: AStructure, check: str, arity: int) -> list[RawFailure
             if acc:
                 failures.append((word, list(acc.items())))
     elif check == "direct":
-        for word in space.basis_words(arity):
+        for word in _direct_candidates(tables, space, arity):
             vec = _stasheff_vec(tables, degrees, word)
             if vec:
                 failures.append((word, [((b,), c) for b, c in vec.items()]))

@@ -9,6 +9,7 @@ output, diagnostics to standard error; no outcome prints a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .engine import AStructure, apply_map, d_squared, prime, verify_structure
@@ -34,7 +35,8 @@ def _load_structure(args) -> AStructure:
             raise InputError(
                 f"{args.input}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
-        return parse_structure(text, name=args.input)
+        # the report names the file, not the path it was reached by
+        return parse_structure(text, name=os.path.basename(args.input))
     name = args.builtin or "paper-example"
     try:
         factory = BUILTIN_STRUCTURES[name]

@@ -11,7 +11,8 @@ defining identities are implemented side by side:
   and evaluates D(D(word)), which must vanish.
 
 The per-word functions here are the reference oracle; ``_backend`` runs
-their raw cores over every basis word for the exhaustive sweeps.
+their raw cores for the sweeps: the coderivation sweep over every basis
+word, the direct sweep over only the words the table supports can reach.
 """
 
 from __future__ import annotations
@@ -388,11 +389,13 @@ def stasheff_defect(s: AStructure, x: Word) -> Vector:
 
 
 def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Report:
-    """Exhaustively check all basis words of arity 1..max_arity.
+    """Check all basis words of arity 1..max_arity.
 
     ``mode`` selects the direct identity, the coderivation square, or both.
-    Enumeration is lexicographic in basis index and the report ordering is
-    deterministic.
+    The coderivation check evaluates every word.  The direct check evaluates
+    only the words built from an outer and an inner table entry; at every
+    other word each term of the identity is zero, so all words are still
+    certified.  The report ordering is deterministic.
     """
     from . import _backend  # deferred: _backend imports this module's internals
 

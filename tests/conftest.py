@@ -16,8 +16,10 @@ nonzero_coefficients = coefficients.filter(lambda c: c != 0)
 
 
 @st.composite
-def graded_spaces(draw, max_dim: int = 4, min_degree: int = -2, max_degree: int = 3):
-    dim = draw(st.integers(min_value=1, max_value=max_dim))
+def graded_spaces(
+    draw, max_dim: int = 4, min_degree: int = -2, max_degree: int = 3, min_dim: int = 1
+):
+    dim = draw(st.integers(min_value=min_dim, max_value=max_dim))
     degrees = draw(
         st.lists(
             st.integers(min_value=min_degree, max_value=max_degree),

@@ -226,3 +226,22 @@ def test_criterion_8_property_suites():
         ok = True
     finally:
         _verdict(8, "four property suites hold over 1000 random cases each", ok)
+
+
+def test_criterion_9_direct_sweep_to_arity_20(capsys):
+    ok = False
+    try:
+        code = run_cli(
+            ["verify", "--builtin", "paper-example", "--check", "direct",
+             "--max-arity", "20", "--format", "machine"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["pass"] is True
+        assert [rec["arity"] for rec in doc["checks"]] == list(range(1, 21))
+        for rec in doc["checks"]:
+            assert rec["words"] == 3 ** rec["arity"]
+            assert rec["failures"] == []
+        ok = True
+    finally:
+        _verdict(9, "direct identity vanishes through arity 20", ok)

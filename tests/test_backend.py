@@ -1,6 +1,8 @@
-"""The exhaustive sweep against the literal per-word oracle, and exactness."""
+"""The sweeps against the literal per-word oracle, and exactness."""
 
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,20 +17,24 @@ from ainfty import (
     active_backend,
     d_squared,
     example_structure,
+    parse_structure,
     stasheff_defect,
     verify_structure,
 )
+from ainfty._backend import _direct_candidates
 from conftest import graded_spaces, homogeneous_multimaps
 from test_engine import mutated_structure
 
 
-def oracle_report(s: AStructure, max_arity: int) -> Report:
-    """Both checks built word by word from stasheff_defect and d_squared."""
+def oracle_report(
+    s: AStructure, max_arity: int, checks=("direct", "coderivation")
+) -> Report:
+    """The checks built over all words from stasheff_defect and d_squared."""
     space = s.space
     names = space.word_names
     unprimed, primed = s.unprimed_version(), s.primed_version()
     records = []
-    for check in ("direct", "coderivation"):
+    for check in checks:
         for n in range(1, max_arity + 1):
             failures = []
             for word in space.basis_words(n):
@@ -108,3 +114,46 @@ def test_large_products_stay_exact():
     report = assert_sweep_matches_oracle(s, 2)
     coderivation = [rec for rec in report.checks if rec.check == "coderivation"]
     assert coderivation[0].failures[0].defect == ((Fraction(2**80), ("c",)),)
+
+
+def candidate_words(s: AStructure, n: int) -> set:
+    """The direct sweep's distinct words, reading at most 1000 of them.
+
+    A fallback to all words at high arity then fails a count, not hangs.
+    """
+    return set(islice(_direct_candidates(s.tables_up_to(n), s.space, n), 1000))
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.data())
+def test_direct_sweep_matches_oracle_on_sparse_structures(data):
+    space = data.draw(graded_spaces(min_dim=4, max_dim=5, min_degree=-1, max_degree=1))
+    maps = {}
+    for arity in (1, 2, 3, 4):
+        m = data.draw(
+            homogeneous_multimaps(space=space, min_arity=arity, max_arity=arity)
+        )
+        if m.table:
+            maps[arity] = m
+    if not maps:
+        maps = {1: MultiMap(space, 1, {})}
+    s = AStructure(space, maps=maps, name="sparse")
+    report = verify_structure(s, 4, mode="direct")
+    assert report == oracle_report(s, 4, checks=("direct",))
+    # at most 4 entries per table give fewer (u, lam, v) triples than the
+    # dim**4 >= 256 words, so arity 4 enumerates candidates, not all words
+    assert len(candidate_words(s, 4)) < space.dim**4
+
+
+def test_dense_tables_iterate_all_words_lazily():
+    path = Path(__file__).parent / "corpus" / "z12.astr"
+    s = parse_structure(path.read_text(encoding="utf-8"), name="z12")
+    words = _direct_candidates(s.tables_up_to(3), s.space, 3)
+    assert iter(words) is words  # an iterator, not a materialized collection
+    assert len(set(words)) == 12**3
+
+
+def test_direct_candidate_counts_on_the_example():
+    """Polynomial work: a fallback to all 3**n words fails here."""
+    s = example_structure()
+    assert [len(candidate_words(s, n)) for n in (3, 9, 20)] == [8, 107, 569]

@@ -61,6 +61,18 @@ def test_verify_machine_format_deterministic(capsys):
     assert '"pass": true' in first
 
 
+def test_verify_report_ignores_path_spelling(broken_file, tmp_path, monkeypatch, capsys):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for path in ("broken.astr", broken_file, "sub/../broken.astr"):
+        args = ["verify", "--input", path, "--max-arity", "3", "--format", "machine"]
+        assert run_cli(args) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert '"structure": "broken.astr"' in outputs[0]
+
+
 def test_verify_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.astr"
     bad.write_text("ainfty v1\nconvention cochain\nbasis a 0\nmap 2: a q -> 1 a\n")

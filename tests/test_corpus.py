@@ -1,9 +1,9 @@
 """Golden corpus: machine reports must keep their pinned sha256 and exit code.
 
-Each case in ``corpus/expected.json`` is one CLI invocation, run from inside
-``corpus/`` because a file's report names the structure by the path given.
-The hashes were recorded before the sweep was last refactored; a change
-that alters any report byte fails here.
+Each case in ``corpus/expected.json`` is one CLI invocation; ``--input``
+names a file in ``corpus/``, passed here by its absolute path.  The hashes
+were recorded before the sweep was last refactored; a change that alters
+any report byte fails here.
 """
 
 import hashlib
@@ -19,10 +19,13 @@ EXPECTED = json.loads((CORPUS / "expected.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_corpus_report_is_byte_identical(name, monkeypatch, capsysbinary):
+def test_corpus_report_is_byte_identical(name, capsysbinary):
     case = EXPECTED[name]
-    monkeypatch.chdir(CORPUS)
-    code = run_cli(case["argv"])
+    argv = list(case["argv"])
+    if "--input" in argv:
+        i = argv.index("--input") + 1
+        argv[i] = str(CORPUS / argv[i])
+    code = run_cli(argv)
     report = capsysbinary.readouterr().out
     assert code == case["exit"]
     assert hashlib.sha256(report).hexdigest() == case["sha256"]

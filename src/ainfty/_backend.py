@@ -7,6 +7,7 @@ a deterministic order.  The coderivation sweep visits every basis word.
 The direct sweep evaluates only the words that the supports of the maps
 can reach (``_direct_candidates``); every other word is zero by
 construction, so each record still certifies all ``dim**n`` words.
+``_to_record`` also builds the records of the ``linfty`` sweep.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .graded import (
     word_degree,
 )
 from .report import Report
-from .signs import desusp_word_sign, susp_iso_sign
+from .signs import _alpha_parity, desusp_word_sign, susp_iso_sign
 
 # Internal sweep representation: arity -> {word: {basis: coeff}}.
 Tables = dict[int, dict[Word, Vector]]
@@ -90,6 +90,16 @@ def apply_map(m: MultiMap, w: Word) -> Vector:
     return dict(m.table.get(w, {}))
 
 
+def _transfer(m: MultiMap, primed: bool) -> MultiMap:
+    k = m.arity
+    table: dict[Word, Vector] = {}
+    for w, vec in m.table.items():
+        degs = [m.space.degree(i) for i in w]
+        s = susp_iso_sign(k) * desusp_word_sign(degs) * susp_iso_sign(k)
+        table[w] = {b: s * c for b, c in vec.items()}
+    return MultiMap(m.space, k, table, primed=primed)
+
+
 def prime(m: MultiMap) -> MultiMap:
     """Transfer an unprimed map to the degree-1 map on desuspended words.
 
@@ -102,27 +112,15 @@ def prime(m: MultiMap) -> MultiMap:
     """
     if m.primed:
         raise InputError("prime() expects an unprimed map")
-    k = m.arity
-    table: dict[Word, Vector] = {}
-    for w, vec in m.table.items():
-        degs = [m.space.degree(i) for i in w]
-        s = susp_iso_sign(k) * desusp_word_sign(degs) * susp_iso_sign(k)
-        table[w] = {b: s * c for b, c in vec.items()}
-    return MultiMap(m.space, k, table, primed=True)
+    return _transfer(m, primed=True)
 
 
 def unprime(mp: MultiMap) -> MultiMap:
     """Invert the transfer; unprime(prime(m)) == m entry for entry."""
     if not mp.primed:
         raise InputError("unprime() expects a primed map")
-    k = mp.arity
-    table: dict[Word, Vector] = {}
-    for w, vec in mp.table.items():
-        degs = [mp.space.degree(i) for i in w]
-        # the transfer sign is +-1, hence self-inverse
-        s = susp_iso_sign(k) * desusp_word_sign(degs) * susp_iso_sign(k)
-        table[w] = {b: s * c for b, c in vec.items()}
-    return MultiMap(mp.space, k, table, primed=False)
+    # the transfer sign is +-1, hence self-inverse
+    return _transfer(mp, primed=False)
 
 
 class AStructure:
@@ -249,6 +247,7 @@ def _coderivation_terms(
     of passing it across the prefix: (-1)**(desuspended prefix degree).
     """
     n = len(word)
+    # parities[i] inlines signs.pass_operator_sign(1, desuspended degree of word[:i])
     parities = [0] * (n + 1)
     p = 0
     for i, b in enumerate(word):
@@ -337,10 +336,6 @@ def d_squared(s: AStructure, w: Word) -> TensorPoly:
 # ---------------------------------------------------------------------------
 # direct identity side
 # ---------------------------------------------------------------------------
-
-
-def _alpha_parity(k: int, lam: int, n: int, prefix_degree_sum: int) -> int:
-    return (k + lam + k * lam + k * n + k * prefix_degree_sum) & 1
 
 
 def _stasheff_vec(tables: Tables, degrees: tuple[int, ...], x: Word) -> Vector:

@@ -5,9 +5,10 @@ have degree 1 and symmetrization uses plain Koszul signs: the symmetrized
 map is the sum of the original over all signed permutations of its inputs.
 The generalized Jacobi identity is then checked in unshuffle form, summing
 l_j(l_i(block) tensor rest) over all (i, n-i)-unshuffles with i + j = n + 1.
-Un-priming the symmetrized family back to the unshifted space is
-deliberately not offered; conventions for that step vary and nothing here
-needs it.
+The sweep's nonzero defects become report records through the same
+``_backend._to_record`` as the structure checks.  Un-priming the
+symmetrized family back to the unshifted space is deliberately not
+offered; conventions for that step vary and nothing here needs it.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from . import _backend
 from .engine import AStructure, MultiMap
 from .errors import InputError
 from .graded import GradedSpace, TensorPoly, Vector, Word
-from .report import CheckRecord, Failure, Report
-from .signs import koszul_permutation_sign
+from .report import Report
+from .signs import koszul_permutation_sign, pass_operator_sign
 
 
 def _invert(sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -60,7 +62,7 @@ class SymMultiMap:
             for pos in range(self.arity - 1):
                 swapped = list(w)
                 swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-                sign = -1 if (degs[w[pos]] - 1) * (degs[w[pos + 1]] - 1) % 2 else 1
+                sign = pass_operator_sign(degs[w[pos]] - 1, degs[w[pos + 1]] - 1)
                 other = self.table.get(tuple(swapped), {})
                 expected = {b: sign * c for b, c in vec.items()}
                 if expected != dict(other):
@@ -75,36 +77,27 @@ class SymMultiMap:
 def symmetrize_prime(mp: MultiMap) -> SymMultiMap:
     """Sum a transferred map over all Koszul-signed permutations of its inputs.
 
-    The result can only be supported on rearrangements of the original
-    support, so only those words are tabulated.
+    l(y) is the sum over permutations sigma of sign(sigma, y) * m(sigma . y),
+    where letter i of y moves to position sigma[i].  A term is nonzero only
+    when sigma . y is a table entry w, so the sum runs over table entries
+    times permutations: each pair (w, sigma) contributes to the one word y
+    with y[i] = w[sigma[i]], signed by the degrees of y's letters.
     """
     if not mp.primed:
         raise InputError("symmetrization is defined for primed maps")
     space = mp.space
     n = mp.arity
     ddegs = [d - 1 for d in space.degrees]
-    candidates: set[Word] = set()
-    for w in mp.table:
-        candidates.update(itertools.permutations(w))
     table: dict[Word, Vector] = {}
-    for y in sorted(candidates):
-        degs = [ddegs[b] for b in y]
-        acc: dict[int, Fraction] = {}
+    for w, vec in mp.table.items():
         for sigma in itertools.permutations(range(n)):
-            # letter i of y moves to position sigma[i]
-            permuted = [0] * n
-            for i, p in enumerate(sigma):
-                permuted[p] = y[i]
-            hit = mp.table.get(tuple(permuted))
-            if hit is None:
-                continue
-            sign = koszul_permutation_sign(degs, sigma)
-            for b, c in hit.items():
+            y = tuple(w[p] for p in sigma)
+            sign = koszul_permutation_sign([ddegs[b] for b in y], sigma)
+            acc = table.setdefault(y, {})
+            for b, c in vec.items():
                 acc[b] = acc.get(b, Fraction(0)) + sign * c
-        acc = {b: c for b, c in acc.items() if c}
-        if acc:
-            table[y] = acc
-    return SymMultiMap(space, n, table)
+    pruned = {y: {b: c for b, c in acc.items() if c} for y, acc in table.items()}
+    return SymMultiMap(space, n, {y: acc for y, acc in pruned.items() if acc})
 
 
 def unshuffles(i: int, r: int) -> list[tuple[int, ...]]:
@@ -139,6 +132,8 @@ def linfty_defect(family: Iterable[SymMultiMap], y: Word) -> TensorPoly:
     if not by_arity:
         raise InputError("empty map family")
     space = next(iter(by_arity.values())).space
+    if any(m.space != space for m in by_arity.values()):
+        raise InputError("family maps live over different spaces")
     y = tuple(y)
     space.check_word(y)
     n = len(y)
@@ -174,12 +169,9 @@ def verify_linfty(s: AStructure, max_arity: int) -> Report:
         raise InputError("max_arity must be >= 1")
     primed = s.primed_version()
     space = s.space
-    family: dict[int, SymMultiMap] = {}
-    for k in range(1, max_arity + 1):
-        m = primed.map_at(k)
-        if m is not None:
-            family[k] = symmetrize_prime(m)
-    maps = list(family.values())
+    maps = [
+        symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(max_arity)
+    ]
     records = []
     for arity in range(1, max_arity + 1):
         failures = []
@@ -188,19 +180,8 @@ def verify_linfty(s: AStructure, max_arity: int) -> Report:
                 break  # no maps at all: every relation is an empty sum
             defect = linfty_defect(maps, word)
             if not defect.is_zero():
-                terms = tuple(
-                    (c, space.word_names(dw))
-                    for dw, c in sorted(defect.terms.items())
-                )
-                failures.append(Failure(word=space.word_names(word), defect=terms))
-        records.append(
-            CheckRecord(
-                check="linfty",
-                arity=arity,
-                words=space.dim**arity,
-                failures=tuple(failures),
-            )
-        )
+                failures.append((word, list(defect.terms.items())))
+        records.append(_backend._to_record(space, "linfty", arity, failures))
     return Report(
         structure=s.name,
         convention=space.convention,

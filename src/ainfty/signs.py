@@ -80,6 +80,14 @@ def desusp_word_sign(degrees: Sequence[int]) -> Sign:
     return sign_of(exponent)
 
 
+def _alpha_parity(k: int, lam: int, n: int, prefix_degree_sum: int) -> int:
+    """The parity of ``alpha_sign``'s exponent, without argument checks.
+
+    1 exactly when the sign is -1; the direct sweep calls this per term.
+    """
+    return (k + lam + k * lam + k * n + k * prefix_degree_sum) & 1
+
+
 def alpha_sign(k: int, lam: int, n: int, prefix_degree_sum: int) -> Sign:
     """The sign on the (lam, k) term of the arity-n associativity-up-to-homotopy identity.
 
@@ -90,8 +98,7 @@ def alpha_sign(k: int, lam: int, n: int, prefix_degree_sum: int) -> Sign:
         raise InputError(f"prefix length {lam} out of range for arity {n}")
     if not 1 <= k <= n - lam:
         raise InputError(f"inner arity {k} out of range for arity {n}, prefix {lam}")
-    exponent = k + lam + k * lam + k * n + k * prefix_degree_sum
-    return sign_of(exponent)
+    return sign_of(_alpha_parity(k, lam, n, prefix_degree_sum))
 
 
 def s_sign(n: int) -> Sign:

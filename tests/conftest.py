@@ -46,12 +46,13 @@ def homogeneous_multimaps(
     min_arity: int = 1,
     max_arity: int = 4,
     primed: bool = False,
+    max_entries: int = 4,
 ):
     """A random degree-homogeneous map: only entries the grading allows."""
     if space is None:
         space = draw(graded_spaces())
     arity = draw(st.integers(min_value=min_arity, max_value=max_arity))
-    n_entries = draw(st.integers(min_value=0, max_value=4))
+    n_entries = draw(st.integers(min_value=0, max_value=max_entries))
     table = {}
     for _ in range(n_entries):
         w = draw(words_over(space, min_arity=arity, max_arity=arity))
@@ -64,6 +65,29 @@ def homogeneous_multimaps(
             vec[b] = draw(nonzero_coefficients)
         table[w] = vec
     return MultiMap(space, arity, table, primed=primed)
+
+
+@st.composite
+def random_structures(draw, max_arity: int = 3, max_entries: int = 4, **space_options):
+    """A finite structure of random homogeneous maps; some fail the identities.
+
+    ``space_options`` go to ``graded_spaces``.  Arities whose drawn table is
+    empty are left out; a structure with no entries at all gets one empty
+    arity-1 map.
+    """
+    space = draw(graded_spaces(**space_options))
+    maps = {}
+    for arity in range(1, max_arity + 1):
+        m = draw(
+            homogeneous_multimaps(
+                space=space, min_arity=arity, max_arity=arity, max_entries=max_entries
+            )
+        )
+        if m.table:
+            maps[arity] = m
+    if not maps:
+        maps = {1: MultiMap(space, 1, {})}
+    return AStructure(space, maps=maps, name="random")
 
 
 @st.composite

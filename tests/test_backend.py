@@ -22,7 +22,7 @@ from ainfty import (
     verify_structure,
 )
 from ainfty._backend import _direct_candidates
-from conftest import graded_spaces, homogeneous_multimaps
+from conftest import random_structures
 from test_engine import mutated_structure
 
 
@@ -75,17 +75,8 @@ def test_sweep_matches_oracle_on_failures():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_sweep_matches_oracle_on_random_structures(data):
-    space = data.draw(graded_spaces(max_dim=3))
-    maps = {}
-    for arity in (1, 2, 3):
-        m = data.draw(
-            homogeneous_multimaps(space=space, min_arity=arity, max_arity=arity)
-        )
-        if m.table:
-            maps[arity] = m
-    if not maps:
-        maps = {1: MultiMap(space, 1, {})}
-    assert_sweep_matches_oracle(AStructure(space, maps=maps, name="random"), 3)
+    s = data.draw(random_structures(max_arity=3, max_dim=3))
+    assert_sweep_matches_oracle(s, 3)
 
 
 def test_wide_coefficients_stay_exact():
@@ -127,17 +118,12 @@ def candidate_words(s: AStructure, n: int) -> set:
 @settings(max_examples=75, deadline=None)
 @given(st.data())
 def test_direct_sweep_matches_oracle_on_sparse_structures(data):
-    space = data.draw(graded_spaces(min_dim=4, max_dim=5, min_degree=-1, max_degree=1))
-    maps = {}
-    for arity in (1, 2, 3, 4):
-        m = data.draw(
-            homogeneous_multimaps(space=space, min_arity=arity, max_arity=arity)
+    s = data.draw(
+        random_structures(
+            max_arity=4, min_dim=4, max_dim=5, min_degree=-1, max_degree=1
         )
-        if m.table:
-            maps[arity] = m
-    if not maps:
-        maps = {1: MultiMap(space, 1, {})}
-    s = AStructure(space, maps=maps, name="sparse")
+    )
+    space = s.space
     report = verify_structure(s, 4, mode="direct")
     assert report == oracle_report(s, 4, checks=("direct",))
     # at most 4 entries per table give fewer (u, lam, v) triples than the

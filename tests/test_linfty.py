@@ -4,12 +4,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ainfty import (
     EXAMPLE_SPACE,
+    AStructure,
+    BasisElement,
+    CheckRecord,
+    Failure,
+    GradedSpace,
     InputError,
     MultiMap,
+    Report,
     SymMultiMap,
     example_mprime,
     example_structure,
@@ -19,7 +25,7 @@ from ainfty import (
     unshuffles,
     verify_linfty,
 )
-from conftest import homogeneous_multimaps, valid_structures
+from conftest import homogeneous_multimaps, random_structures, valid_structures
 from test_engine import mutated_structure
 
 V1, V2, W = 0, 1, 2
@@ -86,13 +92,45 @@ def test_symmetrized_maps_are_graded_symmetric(n):
             assert ln.value(perm) == expected
 
 
+def oracle_symmetrize(mp):
+    """Independent route: every rearrangement y of every table word, n! each.
+
+    l(y) sums sign(sigma, y) * m(sigma . y) over all permutations sigma,
+    letter i of y moving to position sigma[i]; lookups that miss add zero.
+    """
+    n = mp.arity
+    ddeg = [d - 1 for d in mp.space.degrees]
+    candidates = {y for w in mp.table for y in itertools.permutations(w)}
+    table = {}
+    for y in sorted(candidates):
+        acc = {}
+        for sigma in itertools.permutations(range(n)):
+            order = [0] * n  # order[p]: the slot of y whose letter lands at p
+            for i, p in enumerate(sigma):
+                order[p] = i
+            hit = mp.table.get(tuple(y[i] for i in order))
+            if hit is None:
+                continue
+            # bubble the slots, not the letters: repeated letters must still
+            # be told apart by where they came from
+            sign = bubble_sign([ddeg[b] for b in y], tuple(range(n)), order)
+            for b, c in hit.items():
+                acc[b] = acc.get(b, Fraction(0)) + sign * c
+        acc = {b: c for b, c in acc.items() if c}
+        if acc:
+            table[y] = acc
+    return table
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_symmetrization_certificate_holds_on_random_maps(data):
-    mp = data.draw(homogeneous_multimaps(max_arity=3, primed=True))
+    # dim <= 4 and arity <= 4, so words with repeated letters occur
+    mp = data.draw(homogeneous_multimaps(max_arity=4, primed=True))
     # construction runs the certificate; reaching here means it passed
     ln = symmetrize_prime(mp)
     assert ln.arity == mp.arity
+    assert ln.table == oracle_symmetrize(mp)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +232,16 @@ def test_linfty_duplicate_arity_rejected():
         linfty_defect([m, m], (V1, V2))
 
 
+def test_linfty_mixed_spaces_rejected():
+    def space(dim):
+        return GradedSpace(tuple(BasisElement(f"e{i}", 0) for i in range(dim)))
+
+    l_a = SymMultiMap(space(2), 1, {})
+    l_b = SymMultiMap(space(3), 2, {})
+    with pytest.raises(InputError):
+        linfty_defect([l_a, l_b], (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # verify_linfty
 # ---------------------------------------------------------------------------
@@ -206,8 +254,6 @@ def test_verify_linfty_example_passes():
 
 
 def test_verify_linfty_all_zero_passes():
-    from ainfty import AStructure
-
     s = AStructure(
         EXAMPLE_SPACE, maps={1: MultiMap(EXAMPLE_SPACE, 1, {})}, name="zero"
     )
@@ -231,3 +277,50 @@ def test_valid_structures_stay_valid_after_symmetrization(data):
 
     assert verify_structure(s, max_arity, mode="both").passed
     assert verify_linfty(s, max_arity).passed
+
+
+def oracle_linfty_report(s, max_arity: int) -> Report:
+    """verify_linfty built over all words from oracle_symmetrize and oracle_defect."""
+    space = s.space
+    primed = s.primed_version()
+    family = [
+        SymMultiMap(space, k, oracle_symmetrize(primed.map_at(k)))
+        for k in range(1, max_arity + 1)
+        if primed.map_at(k) is not None
+    ]
+    records = []
+    for n in range(1, max_arity + 1):
+        failures = []
+        for word in space.basis_words(n):
+            defect = oracle_defect(family, word) if family else {}
+            if defect:
+                terms = tuple((defect[b], (space.name(b),)) for b in sorted(defect))
+                failures.append(Failure(word=space.word_names(word), defect=terms))
+        records.append(CheckRecord("linfty", n, space.dim**n, tuple(failures)))
+    return Report(s.name, space.convention, max_arity, tuple(records))
+
+
+def two_term_failure():
+    """A failing structure whose Jacobi defects have two terms."""
+    space = GradedSpace(
+        (BasisElement("e0", 0), BasisElement("e1", 0), BasisElement("e2", -1))
+    )
+    maps = {
+        1: MultiMap(space, 1, {(2,): {0: 1}}),
+        2: MultiMap(space, 2, {(0, 1): {0: 1, 1: 1}}),
+    }
+    return AStructure(space, maps=maps, name="two-term")
+
+
+# degrees -1..1 and up to 9 entries per table: about a quarter of the draws
+# fail, a few with defects of several terms
+@settings(max_examples=100, deadline=None)
+@given(
+    random_structures(
+        max_arity=3, max_entries=9, min_dim=3, max_dim=3, min_degree=-1, max_degree=1
+    )
+)
+@example(mutated_structure(3))
+@example(two_term_failure())
+def test_verify_linfty_matches_oracle_on_random_structures(s):
+    assert verify_linfty(s, 3) == oracle_linfty_report(s, 3)

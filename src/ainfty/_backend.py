@@ -3,16 +3,19 @@
 The per-word defect functions in ``engine`` are the reference
 implementation.  This module runs their raw cores over the words of each
 arity, collects the nonzero defects, and turns them into report records in
-a deterministic order.  The coderivation sweep visits every basis word.
-The direct sweep evaluates only the words that the supports of the maps
-can reach (``_direct_candidates``); every other word is zero by
-construction, so each record still certifies all ``dim**n`` words.
-``_to_record`` also builds the records of the ``linfty`` sweep.
+a deterministic order.  Both sweeps evaluate only the words that the
+supports of the maps can reach: the direct sweep the candidates of
+``_direct_candidates``, the coderivation sweep those candidates of the
+primed tables plus the words that contain a bad window found at a lower
+arity (``_sweep_one``).  Every other word is zero by construction, so each
+record still certifies all ``dim**n`` words.  ``_to_record`` also builds
+the records of the ``linfty`` sweep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterable
 
 from .engine import AStructure, Tables, _d_squared_raw, _stasheff_vec
@@ -37,8 +40,10 @@ def _direct_candidates(tables: Tables, space: GradedSpace, n: int) -> Iterable[W
     where b is a letter of v's output.  So x = u[:lam] + v + u[lam+1:] for
     some outer entry u and inner entry v whose output contains u[lam].  At
     any other word every term meets an absent table entry, and the defect
-    is zero by construction.  The coderivation and linfty sweeps do not use
-    this and still visit every word.
+    is zero by construction.  On primed tables the same words are those at
+    which the one-letter part of D(D(x)) can be nonzero, so the
+    coderivation sweep visits them too (``_sweep_one``).  The linfty sweep
+    visits every word.
 
     Each inner table is indexed by output letter and the (u, lam, v)
     triples are counted first.  When they number at least dim**n (dense
@@ -70,19 +75,47 @@ def _direct_candidates(tables: Tables, space: GradedSpace, n: int) -> Iterable[W
     }
 
 
-def _sweep_one(structure: AStructure, check: str, arity: int) -> list[RawFailure]:
-    """Sweep one (check, arity) cell and return its nonzero defects."""
+def _containing(windows: Iterable[Word], dim: int, n: int) -> set[Word]:
+    """The arity-n words that contain one of the (shorter) windows."""
+    letters = range(dim)
+    return {
+        pre + x + suf
+        for x in windows
+        for i in range(n - len(x) + 1)
+        for pre in product(letters, repeat=i)
+        for suf in product(letters, repeat=n - len(x) - i)
+    }
+
+
+def _sweep_one(
+    structure: AStructure, check: str, arity: int, windows: list[Word]
+) -> list[RawFailure]:
+    """Sweep one (check, arity) cell and return its nonzero defects.
+
+    D(D(.)) is again a coderivation, of even degree, so at a word
+    P + x + S it is the sum over the windows x of P + R(x) + S, with no
+    sign, where R(x) is the one-letter part of D(D(x)).  R(x) can be
+    nonzero only at a direct candidate of the primed tables.  So the
+    coderivation sweep visits the candidates of this arity and every word
+    that contains a bad window: a lower-arity word with R nonzero, as
+    listed in ``windows``.  It pads the bad windows themselves, not the
+    failing words of the arity below, whose windows may cancel.  The direct
+    sweep ignores ``windows``.
+    """
     space = structure.space
     degrees = space.degrees
     tables = structure.tables_up_to(arity)
+    words = _direct_candidates(tables, space, arity)
     failures: list[RawFailure] = []
     if check == "coderivation":
-        for word in space.basis_words(arity):
+        if windows and isinstance(words, set):  # not the lazy all-words case
+            words |= _containing(windows, space.dim, arity)
+        for word in words:
             acc = _d_squared_raw(tables, degrees, word)
             if acc:
                 failures.append((word, list(acc.items())))
     elif check == "direct":
-        for word in _direct_candidates(tables, space, arity):
+        for word in words:
             vec = _stasheff_vec(tables, degrees, word)
             if vec:
                 failures.append((word, [((b,), c) for b, c in vec.items()]))
@@ -117,7 +150,10 @@ def run_checks(
     records = []
     for check in checks:
         structure = by_check[check]
+        windows: list[Word] = []
         for arity in range(1, max_arity + 1):
-            failures = _sweep_one(structure, check, arity)
+            failures = _sweep_one(structure, check, arity, windows)
             records.append(_to_record(structure.space, check, arity, failures))
+            # bad windows: the words whose defect has a one-letter term
+            windows += [w for w, d in failures if any(len(dw) == 1 for dw, _ in d)]
     return records

@@ -11,8 +11,9 @@ defining identities are implemented side by side:
   and evaluates D(D(word)), which must vanish.
 
 The per-word functions here are the reference oracle; ``_backend`` runs
-their raw cores for the sweeps: the coderivation sweep over every basis
-word, the direct sweep over only the words the table supports can reach.
+their raw cores for the sweeps, over only the words the table supports
+can reach (for the coderivation sweep, also the words that contain a
+failing lower-arity window).
 """
 
 from __future__ import annotations
@@ -387,10 +388,11 @@ def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Repor
     """Check all basis words of arity 1..max_arity.
 
     ``mode`` selects the direct identity, the coderivation square, or both.
-    The coderivation check evaluates every word.  The direct check evaluates
-    only the words built from an outer and an inner table entry; at every
-    other word each term of the identity is zero, so all words are still
-    certified.  The report ordering is deterministic.
+    Both checks evaluate only the words built from an outer and an inner
+    table entry, and the coderivation check also the words that contain a
+    lower-arity word whose square has a one-letter term; at every other
+    word each term is zero, so all words are still certified.  The report
+    ordering is deterministic.
     """
     from . import _backend  # deferred: _backend imports this module's internals
 

@@ -21,6 +21,7 @@ from ainfty import (
     stasheff_defect,
     verify_structure,
 )
+import ainfty._backend as backend
 from ainfty._backend import _direct_candidates
 from conftest import random_structures
 from test_engine import mutated_structure
@@ -134,12 +135,53 @@ def test_direct_sweep_matches_oracle_on_sparse_structures(data):
 def test_dense_tables_iterate_all_words_lazily():
     path = Path(__file__).parent / "corpus" / "z12.astr"
     s = parse_structure(path.read_text(encoding="utf-8"), name="z12")
-    words = _direct_candidates(s.tables_up_to(3), s.space, 3)
-    assert iter(words) is words  # an iterator, not a materialized collection
-    assert len(set(words)) == 12**3
+    # the direct sweep reads the unprimed tables, the coderivation sweep the primed
+    for t in (s, s.primed_version()):
+        words = _direct_candidates(t.tables_up_to(3), t.space, 3)
+        assert iter(words) is words  # an iterator, not a materialized collection
+        assert len(set(words)) == 12**3
 
 
 def test_direct_candidate_counts_on_the_example():
     """Polynomial work: a fallback to all 3**n words fails here."""
     s = example_structure()
     assert [len(candidate_words(s, n)) for n in (3, 9, 20)] == [8, 107, 569]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_coderivation_sweep_matches_oracle_on_random_structures(data):
+    """About a third of these fail below arity 4, so bad windows get padded."""
+    s = data.draw(
+        random_structures(
+            max_arity=3, max_entries=6, min_dim=2, max_dim=3, min_degree=-1, max_degree=1
+        )
+    )
+    report = verify_structure(s, 4, mode="coderivation")
+    assert report == oracle_report(s, 4, checks=("coderivation",))
+
+
+def test_coderivation_sweep_matches_oracle_on_the_mutated_example():
+    s = mutated_structure()
+    report = verify_structure(s, 6, mode="coderivation")
+    assert report == oracle_report(s, 6, checks=("coderivation",))
+
+
+def test_coderivation_words_visited_on_the_example(monkeypatch):
+    """Polynomial work: a fallback to all 3**n words fails after 1000 reads."""
+    visited = []
+    d_squared_raw = backend._d_squared_raw
+
+    def counting(tables, degrees, word):
+        visited.append(word)
+        assert len(visited) <= 1000, "the sweep reads too many words"
+        return d_squared_raw(tables, degrees, word)
+
+    monkeypatch.setattr(backend, "_d_squared_raw", counting)
+    primed = example_structure().primed_version()
+    counts = []
+    for n in (7, 12):
+        visited.clear()
+        assert backend._sweep_one(primed, "coderivation", n, []) == []
+        counts.append(len(visited))
+    assert counts == [62, 197]

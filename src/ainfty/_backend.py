@@ -9,7 +9,8 @@ supports of the maps can reach: the direct sweep the candidates of
 primed tables plus the words that contain a bad window found at a lower
 arity (``_sweep_one``).  Every other word is zero by construction, so each
 record still certifies all ``dim**n`` words.  ``_to_record`` also builds
-the records of the ``linfty`` sweep.
+the records of the ``linfty`` sweep, which enumerates its own candidates
+by orbits of rearrangements (``linfty.verify_linfty``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def _direct_candidates(tables: Tables, space: GradedSpace, n: int) -> Iterable[W
     is zero by construction.  On primed tables the same words are those at
     which the one-letter part of D(D(x)) can be nonzero, so the
     coderivation sweep visits them too (``_sweep_one``).  The linfty sweep
-    visits every word.
+    picks orbits the same way, by letter multisets
+    (``linfty._candidate_orbits``).
 
     Each inner table is indexed by output letter and the (u, lam, v)
     triples are counted first.  When they number at least dim**n (dense

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ainfty.linfty as linfty
 from ainfty import (
     EXAMPLE_SPACE,
     AStructure,
@@ -19,6 +20,7 @@ from ainfty import (
     SymMultiMap,
     example_mprime,
     example_structure,
+    koszul_permutation_sign,
     linfty_defect,
     prime,
     symmetrize_prime,
@@ -131,6 +133,32 @@ def test_symmetrization_certificate_holds_on_random_maps(data):
     ln = symmetrize_prime(mp)
     assert ln.arity == mp.arity
     assert ln.table == oracle_symmetrize(mp)
+
+
+def repeated_letter_map(word, out):
+    """A primed arity-3 map with one entry, over an even and an odd letter.
+
+    Letter 0 has degree 1 (desuspended 0, even), letter 1 degree 0
+    (desuspended -1, odd).
+    """
+    space = GradedSpace((BasisElement("a", 1), BasisElement("c", 0)))
+    return MultiMap(space, 3, {word: {out: Fraction(1)}}, primed=True)
+
+
+def test_symmetrize_repeated_even_letter_gets_stabilizer_factor():
+    # (a, a, c): the two permutations that swap the a's both reach each
+    # rearrangement, and every crossing involves an even letter
+    mp = repeated_letter_map((0, 0, 1), 0)
+    expected = {y: {0: Fraction(2)} for y in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]}
+    assert symmetrize_prime(mp).table == expected
+    assert oracle_symmetrize(mp) == expected
+
+
+def test_symmetrize_repeated_odd_letter_cancels():
+    # (c, c, a): swapping the two odd c's costs -1, so the orbit cancels
+    mp = repeated_letter_map((1, 1, 0), 1)
+    assert symmetrize_prime(mp).table == {}
+    assert oracle_symmetrize(mp) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +352,99 @@ def two_term_failure():
 @example(two_term_failure())
 def test_verify_linfty_matches_oracle_on_random_structures(s):
     assert verify_linfty(s, 3) == oracle_linfty_report(s, 3)
+
+
+def repeated_even_failure():
+    """A dim-2 failure whose orbit (e1, e1) repeats an even letter."""
+    space = GradedSpace((BasisElement("e0", 0), BasisElement("e1", -1)))
+    maps = {
+        1: MultiMap(space, 1, {(1,): {0: 1}}),
+        2: MultiMap(space, 2, {(0, 1): {1: 1}}),
+    }
+    return AStructure(space, maps=maps, name="repeated-even")
+
+
+# dim 2 through arity 4: most words repeat a letter, so orbits with
+# stabilizers > 1 are symmetrized and swept, and odd repeats cancel.
+# Failing orbits show up at arities 2 and 3; in dim 2 the grading leaves
+# no l_3 or l_4 entries that could make an arity-4 orbit fail
+@settings(max_examples=30, deadline=None)
+@given(
+    random_structures(
+        max_arity=4, max_entries=6, min_dim=2, max_dim=2, min_degree=-1, max_degree=1
+    )
+)
+@example(repeated_even_failure())
+def test_verify_linfty_matches_oracle_with_repeated_letters(s):
+    assert verify_linfty(s, 4) == oracle_linfty_report(s, 4)
+
+
+def permute(y, sigma):
+    """sigma . y: letter i of y moves to position sigma[i]."""
+    out = [None] * len(y)
+    for i, p in enumerate(sigma):
+        out[p] = y[i]
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    random_structures(
+        max_arity=4, max_entries=9, min_dim=1, max_dim=3, min_degree=-1, max_degree=1
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+@example(mutated_structure(4), 3)
+@example(two_term_failure(), 2)
+@example(repeated_even_failure(), 2)
+def test_jacobi_defect_is_graded_symmetric(s, n):
+    """J(sigma . y) = sign(sigma, y) * J(y): the orbit sweep rests on this."""
+    space = s.space
+    primed = s.primed_version()
+    family = [symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(4)]
+    ddeg = [d - 1 for d in space.degrees]
+    jac = {y: linfty_defect(family, y).terms for y in space.basis_words(n)}
+    for y, value in jac.items():
+        for sigma in itertools.permutations(range(n)):
+            sign = koszul_permutation_sign([ddeg[b] for b in y], sigma)
+            moved = permute(y, sigma)
+            assert jac[moved] == {w: sign * c for w, c in value.items()}, (
+                f"Jacobi defect is not graded-symmetric: J{moved} != "
+                f"{sign:+d} * J{y}; the orbit sweep of verify_linfty would "
+                "miss or misreport failures"
+            )
+
+
+def test_jacobi_words_evaluated_on_the_example(monkeypatch):
+    """One call per candidate orbit: an all-words sweep fails after 1000 calls."""
+    calls = []
+    defect = linfty.linfty_defect
+
+    def counting(family, y):
+        calls.append(y)
+        assert len(calls) <= 1000, "the sweep evaluates too many words"
+        return defect(family, y)
+
+    monkeypatch.setattr(linfty, "linfty_defect", counting)
+    counts = []
+    for n in (6, 12):
+        calls.clear()
+        assert verify_linfty(example_structure(), n).passed
+        counts.append(len(calls))
+    assert counts == [18, 42]
+
+
+def test_verify_linfty_matches_oracle_on_dense_tables():
+    # a non-commutative product on four odd letters: every pair of distinct
+    # letters has a two-letter bracket, so every arity-3 multiset is a
+    # candidate orbit, and the Jacobi relation fails
+    space = GradedSpace(tuple(BasisElement(f"g{i}", 0) for i in range(4)))
+    table = {
+        (i, j): {(i + 2 * j) % 4: 1, (3 * i + j + 1) % 4: 2}
+        for i in range(4)
+        for j in range(4)
+    }
+    s = AStructure(space, maps={2: MultiMap(space, 2, table)}, name="dense")
+    report = verify_linfty(s, 3)
+    assert not report.passed
+    assert report == oracle_linfty_report(s, 3)

@@ -11,12 +11,21 @@ arity (``_sweep_one``).  Every other word is zero by construction, so each
 record still certifies all ``dim**n`` words.  ``_to_record`` also builds
 the records of the ``linfty`` sweep, which enumerates its own candidates
 by orbits of rearrangements (``linfty.verify_linfty``).
+
+Both sweeps run on Python ints.  Each check scales every table coefficient
+by ``scale``, the lcm of all their denominators (``_scaled_tables``).
+Every term of the direct identity and of D(D(word)) is a product of exactly
+two coefficients, so a scaled defect is exactly ``scale**2`` times the true
+one and is zero exactly when it is.  Only the defects of failing words are
+divided back into ``Fraction``s, which reduce to lowest terms, so the
+records are the ones the ``Fraction`` oracle builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable
 
 from .engine import AStructure, Tables, _d_squared_raw, _stasheff_vec
@@ -89,8 +98,33 @@ def _containing(windows: Iterable[Word], dim: int, n: int) -> set[Word]:
     }
 
 
+def _scaled_tables(structure: AStructure, max_arity: int) -> tuple[Tables, int]:
+    """The tables of arity 1..max_arity times their common denominator.
+
+    Returns the integer tables and the scale, the lcm of the denominators
+    of every coefficient in them.
+    """
+    tables = structure.tables_up_to(max_arity)
+    scale = lcm(
+        *{c.denominator for t in tables.values() for vec in t.values() for c in vec.values()}
+    )
+    scaled = {
+        k: {
+            w: {b: c.numerator * (scale // c.denominator) for b, c in vec.items()}
+            for w, vec in t.items()
+        }
+        for k, t in tables.items()
+    }
+    return scaled, scale
+
+
 def _sweep_one(
-    structure: AStructure, check: str, arity: int, windows: list[Word]
+    structure: AStructure,
+    check: str,
+    arity: int,
+    windows: list[Word],
+    tables: Tables,
+    scale: int,
 ) -> list[RawFailure]:
     """Sweep one (check, arity) cell and return its nonzero defects.
 
@@ -103,10 +137,14 @@ def _sweep_one(
     listed in ``windows``.  It pads the bad windows themselves, not the
     failing words of the arity below, whose windows may cancel.  The direct
     sweep ignores ``windows``.
+
+    ``tables`` are the integer tables of ``_scaled_tables`` with their
+    ``scale``; tables above ``arity`` are ignored.  The defects of the
+    failing words are divided back by ``scale**2``.
     """
     space = structure.space
     degrees = space.degrees
-    tables = structure.tables_up_to(arity)
+    denominator = scale * scale
     words = _direct_candidates(tables, space, arity)
     failures: list[RawFailure] = []
     if check == "coderivation":
@@ -115,12 +153,16 @@ def _sweep_one(
         for word in words:
             acc = _d_squared_raw(tables, degrees, word)
             if acc:
-                failures.append((word, list(acc.items())))
+                failures.append(
+                    (word, [(w, Fraction(c, denominator)) for w, c in acc.items()])
+                )
     elif check == "direct":
         for word in words:
             vec = _stasheff_vec(tables, degrees, word)
             if vec:
-                failures.append((word, [((b,), c) for b, c in vec.items()]))
+                failures.append(
+                    (word, [((b,), Fraction(c, denominator)) for b, c in vec.items()])
+                )
     else:
         raise InputError(f"unknown check {check!r}")
     return failures
@@ -152,9 +194,10 @@ def run_checks(
     records = []
     for check in checks:
         structure = by_check[check]
+        tables, scale = _scaled_tables(structure, max_arity)
         windows: list[Word] = []
         for arity in range(1, max_arity + 1):
-            failures = _sweep_one(structure, check, arity, windows)
+            failures = _sweep_one(structure, check, arity, windows, tables, scale)
             records.append(_to_record(structure.space, check, arity, failures))
             # bad windows: the words whose defect has a one-letter term
             windows += [w for w, d in failures if any(len(dw) == 1 for dw, _ in d)]

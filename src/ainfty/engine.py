@@ -10,10 +10,11 @@ defining identities are implemented side by side:
   shifted space, extends them to a coderivation D of the tensor coalgebra,
   and evaluates D(D(word)), which must vanish.
 
-The per-word functions here are the reference oracle; ``_backend`` runs
-their raw cores for the sweeps, over only the words the table supports
-can reach (for the coderivation sweep, also the words that contain a
-failing lower-arity window).
+The per-word functions here are the reference oracle and compute in
+``Fraction``; ``_backend`` runs their raw cores for the sweeps on tables
+scaled to integers, over only the words the table supports can reach (for
+the coderivation sweep, also the words that contain a failing lower-arity
+window).
 """
 
 from __future__ import annotations
@@ -313,9 +314,14 @@ def d_apply(s: AStructure, p: TensorPoly) -> TensorPoly:
 def _d_squared_raw(
     tables: Tables, degrees: tuple[int, ...], w: Word
 ) -> dict[Word, Fraction]:
-    """D(D(word)) on one unchecked word, as a pruned raw word -> coeff dict."""
+    """D(D(word)) on one unchecked word, as a pruned raw word -> coeff dict.
+
+    The coefficients have the type of the table coefficients: ``Fraction``
+    from ``d_squared``, ``int`` from the scaled tables of the sweep.  The
+    seed coefficient is the int 1, which keeps int tables in ints.
+    """
     first: dict[Word, Fraction] = {}
-    _coderivation_terms(tables, degrees, w, Fraction(1), first)
+    _coderivation_terms(tables, degrees, w, 1, first)
     acc: dict[Word, Fraction] = {}
     for word, coeff in first.items():
         if coeff:

@@ -14,7 +14,10 @@ from ainfty import (
     GradedSpace,
     MultiMap,
     Report,
+    TensorPoly,
     active_backend,
+    coderivation_apply,
+    d_apply,
     d_squared,
     example_structure,
     parse_structure,
@@ -108,6 +111,77 @@ def test_large_products_stay_exact():
     assert coderivation[0].failures[0].defect == ((Fraction(2**80), ("c",)),)
 
 
+P, Q = 2**61 - 1, 2**89 - 1  # coprime (both prime)
+
+
+def wide_denominator_structure() -> AStructure:
+    """A dense failing structure whose common denominator is P*Q.
+
+    x0, x1, x2 of degree 0 and y of degree 1; m_1(x_i) = y, m_2 is Z/3
+    addition on the x's with m_2(x1, x1) = x2 / P, and
+    m_3(x_i, x_j, y) = x_{i+j+2} / Q for every i, j.
+    """
+    space = GradedSpace(
+        tuple(BasisElement(f"x{i}", 0) for i in range(3)) + (BasisElement("y", 1),)
+    )
+    m1 = {(i,): {3: Fraction(1)} for i in range(3)}
+    m2 = {(i, j): {(i + j) % 3: Fraction(1)} for i in range(3) for j in range(3)}
+    m2[(1, 1)] = {2: Fraction(1, P)}
+    m3 = {(i, j, 3): {(i + j + 2) % 3: Fraction(1, Q)} for i in range(3) for j in range(3)}
+    maps = {
+        1: MultiMap(space, 1, m1),
+        2: MultiMap(space, 2, m2),
+        3: MultiMap(space, 3, m3),
+    }
+    return AStructure(space, maps=maps, name="wide-denominators")
+
+
+def test_wide_denominators_stay_exact():
+    """The sweep's integer defects, scaled by (P*Q)**2, divide back exactly."""
+    s = wide_denominator_structure()
+    report = verify_structure(s, 3)
+    assert report == oracle_report(s, 3)
+    assert not report.passed
+    # at x1 x1 x2 all prefix degrees are 0, so the terms of the identity are
+    # + m_2(m_2(x1, x1), x2) = x1 / P, - m_2(x1, m_2(x1, x2)) = - x1 and
+    # + m_3(x1, x1, m_1(x2)) = x1 / Q; the other terms meet absent entries
+    (direct_3,) = [r for r in report.checks if (r.check, r.arity) == ("direct", 3)]
+    (failure,) = [f for f in direct_3.failures if f.word == ("x1", "x1", "x2")]
+    assert failure.defect == ((Fraction(1, P) - 1 + Fraction(1, Q), ("x1",)),)
+
+
+def test_sweep_cores_return_ints(monkeypatch):
+    """Inside the sweeps the cores see int tables and return only ints.
+
+    A stray Fraction seed or table would bring Fraction arithmetic back
+    into the hot loop without changing any report; this catches it.
+    """
+    returned: dict[str, list] = {}
+    for name in ("_stasheff_vec", "_d_squared_raw"):
+        core, values = getattr(backend, name), returned.setdefault(name, [])
+
+        def recording(*args, core=core, values=values):
+            out = core(*args)
+            values.extend(out.values())
+            return out
+
+        monkeypatch.setattr(backend, name, recording)
+    s = wide_denominator_structure()
+    assert not verify_structure(s, 3).passed
+    for values in returned.values():
+        assert values and all(type(c) is int for c in values)
+    # the per-word oracles still compute in Fraction
+    primed = s.primed_version()
+    word = (1, 1, 2)
+    oracle_values = [
+        *stasheff_defect(s, word).values(),
+        *d_squared(primed, word).terms.values(),
+        *coderivation_apply(primed.map_at(2), word[:2]).terms.values(),
+        *d_apply(primed, TensorPoly(s.space, {word: Fraction(1)})).terms.values(),
+    ]
+    assert oracle_values and all(type(c) is Fraction for c in oracle_values)
+
+
 def candidate_words(s: AStructure, n: int) -> set:
     """The direct sweep's distinct words, reading at most 1000 of them.
 
@@ -182,6 +256,7 @@ def test_coderivation_words_visited_on_the_example(monkeypatch):
     counts = []
     for n in (7, 12):
         visited.clear()
-        assert backend._sweep_one(primed, "coderivation", n, []) == []
+        tables, scale = backend._scaled_tables(primed, n)
+        assert backend._sweep_one(primed, "coderivation", n, [], tables, scale) == []
         counts.append(len(visited))
     assert counts == [62, 197]

@@ -3,14 +3,14 @@
 The per-word defect functions in ``engine`` are the reference
 implementation.  This module runs their raw cores over the words of each
 arity, collects the nonzero defects, and turns them into report records in
-a deterministic order.  Both sweeps evaluate only the words that the
-supports of the maps can reach: the direct sweep the candidates of
-``_direct_candidates``, the coderivation sweep those candidates of the
-primed tables plus the words that contain a bad window found at a lower
-arity (``_sweep_one``).  Every other word is zero by construction, so each
-record still certifies all ``dim**n`` words.  ``_to_record`` also builds
-the records of the ``linfty`` sweep, which enumerates its own candidates
-by orbits of rearrangements (``linfty.verify_linfty``).
+a deterministic order.  Every sweep evaluates only the words that the
+supports of the maps can reach, all built by ``_splices``: the direct
+sweep the candidates of ``_direct_candidates``, the coderivation sweep
+those candidates of the primed tables plus the words that contain a bad
+window found at a lower arity (``_sweep_one``), and the ``linfty`` sweep
+their sorted images on the symmetrized tables (``linfty.verify_linfty``).
+Every other word is zero by construction, so each record still certifies
+all ``dim**n`` words; ``_to_record`` builds the records of all three.
 
 Both sweeps run on Python ints.  Each check scales every table coefficient
 by ``scale``, the lcm of all their denominators (``_scaled_tables``).
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .engine import AStructure, Tables, _d_squared_raw, _stasheff_vec
 from .errors import InputError
@@ -42,24 +42,12 @@ def active_backend() -> str:
     return "pure"
 
 
-def _direct_candidates(tables: Tables, space: GradedSpace, n: int) -> Iterable[Word]:
-    """The arity-n words at which the direct identity can be nonzero.
+def _splices(tables: Tables, n: int) -> tuple[int, Iterator[Word]]:
+    """The words u[:lam] + v + u[lam+1:] of arity n, lazily, and their count.
 
-    A term of the identity at a word x pairs an inner entry v = x[lam:lam+k]
-    of m_k with an outer entry u = x[:lam] + (b,) + x[lam+k:] of m_{n-k+1},
-    where b is a letter of v's output.  So x = u[:lam] + v + u[lam+1:] for
-    some outer entry u and inner entry v whose output contains u[lam].  At
-    any other word every term meets an absent table entry, and the defect
-    is zero by construction.  On primed tables the same words are those at
-    which the one-letter part of D(D(x)) can be nonzero, so the
-    coderivation sweep visits them too (``_sweep_one``).  The linfty sweep
-    picks orbits the same way, by letter multisets
-    (``linfty._candidate_orbits``).
-
-    Each inner table is indexed by output letter and the (u, lam, v)
-    triples are counted first.  When they number at least dim**n (dense
-    tables), the candidates cannot be fewer than the words, so all words
-    are iterated lazily instead of materializing a set.
+    u is an entry of the table of arity n - k + 1 and v one of arity k whose
+    output contains u[lam].  The (u, lam, v) triples are counted up front;
+    a word is yielded once per triple that builds it.
     """
     pairs = []
     triples = 0
@@ -75,27 +63,51 @@ def _direct_candidates(tables: Tables, space: GradedSpace, n: int) -> Iterable[W
             for letter in u:
                 triples += len(by_letter.get(letter, ()))
         pairs.append((outer, by_letter))
-    if triples >= space.dim**n:
-        return space.basis_words(n)
-    return {
+    words = (
         u[:lam] + v + u[lam + 1 :]
         for outer, by_letter in pairs
         for u in outer
         for lam, letter in enumerate(u)
         for v in by_letter.get(letter, ())
-    }
+    )
+    return triples, words
 
 
-def _containing(windows: Iterable[Word], dim: int, n: int) -> set[Word]:
-    """The arity-n words that contain one of the (shorter) windows."""
+def _direct_candidates(
+    tables: Tables, space: GradedSpace, n: int, windows: Iterable[Word] = ()
+) -> Iterable[Word]:
+    """The arity-n words at which the direct identity can be nonzero.
+
+    A term of the identity at a word x pairs an inner entry v = x[lam:lam+k]
+    of m_k with an outer entry u = x[:lam] + (b,) + x[lam+k:] of m_{n-k+1},
+    where b is a letter of v's output, so x is a splice of u and v.  At any
+    other word every term meets an absent table entry.  On primed tables
+    these are the words where the one-letter part of D(D(x)) can be
+    nonzero; the coderivation sweep adds every word that contains one of
+    its bad ``windows`` (``_sweep_one``).
+
+    When the triples number at least dim**n (dense tables), building the
+    set would take at least as many steps as iterating every word, so all
+    words are iterated lazily instead; the extra words are zero.
+    """
+    triples, splices = _splices(tables, n)
+    if triples >= space.dim**n:
+        return space.basis_words(n)
+    words = set(splices)
+    words.update(_containing(windows, space.dim, n))
+    return words
+
+
+def _containing(windows: Iterable[Word], dim: int, n: int) -> Iterator[Word]:
+    """The arity-n words that contain one of the (shorter) windows, lazily."""
     letters = range(dim)
-    return {
+    return (
         pre + x + suf
         for x in windows
         for i in range(n - len(x) + 1)
         for pre in product(letters, repeat=i)
         for suf in product(letters, repeat=n - len(x) - i)
-    }
+    )
 
 
 def _scaled_tables(structure: AStructure, max_arity: int) -> tuple[Tables, int]:
@@ -135,8 +147,8 @@ def _sweep_one(
     coderivation sweep visits the candidates of this arity and every word
     that contains a bad window: a lower-arity word with R nonzero, as
     listed in ``windows``.  It pads the bad windows themselves, not the
-    failing words of the arity below, whose windows may cancel.  The direct
-    sweep ignores ``windows``.
+    failing words of the arity below, whose windows may cancel.
+    ``run_checks`` collects bad windows for the coderivation check only.
 
     ``tables`` are the integer tables of ``_scaled_tables`` with their
     ``scale``; tables above ``arity`` are ignored.  The defects of the
@@ -145,11 +157,9 @@ def _sweep_one(
     space = structure.space
     degrees = space.degrees
     denominator = scale * scale
-    words = _direct_candidates(tables, space, arity)
+    words = _direct_candidates(tables, space, arity, windows)
     failures: list[RawFailure] = []
     if check == "coderivation":
-        if windows and isinstance(words, set):  # not the lazy all-words case
-            words |= _containing(windows, space.dim, arity)
         for word in words:
             acc = _d_squared_raw(tables, degrees, word)
             if acc:
@@ -199,6 +209,7 @@ def run_checks(
         for arity in range(1, max_arity + 1):
             failures = _sweep_one(structure, check, arity, windows, tables, scale)
             records.append(_to_record(structure.space, check, arity, failures))
-            # bad windows: the words whose defect has a one-letter term
-            windows += [w for w, d in failures if any(len(dw) == 1 for dw, _ in d)]
+            if check == "coderivation":
+                # bad windows: the words whose defect has a one-letter term
+                windows += [w for w, d in failures if any(len(dw) == 1 for dw, _ in d)]
     return records

@@ -7,7 +7,8 @@ computed once per distinct rearrangement of each table entry.  The
 generalized Jacobi identity is then checked in unshuffle form, summing
 l_j(l_i(block) tensor rest) over all (i, n-i)-unshuffles with i + j = n + 1.
 The sweep evaluates it only on the orbits of rearrangements that the
-supports of the maps can reach, one word per orbit unless that word fails.
+supports of the maps can reach (sorted images of ``_backend._splices``),
+one word per orbit unless that word fails.
 Its nonzero defects become report records through the same
 ``_backend._to_record`` as the structure checks.  Un-priming the
 symmetrized family back to the unshifted space is deliberately not
@@ -196,53 +197,22 @@ def linfty_defect(family: Iterable[SymMultiMap], y: Word) -> TensorPoly:
     return TensorPoly(space, {(b,): c for b, c in acc.items() if c})
 
 
-def _candidate_orbits(by_arity: Mapping[int, SymMultiMap], n: int) -> set[Word]:
-    """Sorted representatives of the arity-n orbits where Jacobi can fail.
-
-    A term of the relation at y applies l_i to a block of y and l_j, with
-    i + j = n + 1, to (b,) + rest, where b is a letter of the inner value.
-    Both maps are graded-symmetric, so their supports are unions of
-    orbits: the block is a rearrangement of an entry v of l_i, and (b,) +
-    rest one of an entry u of l_j.  So y's letters are M(v) + M(u) - {b}
-    for some u containing a letter b of l_i(v); at every other orbit each
-    term meets an absent table entry.  Entries are taken one per orbit,
-    by their sorted representative.  The set never holds more than the
-    C(dim+n-1, n) letter multisets of arity n.
-    """
-    sorted_entries = {
-        k: {w: m.table[w] for w in m.table if list(w) == sorted(w)}
-        for k, m in by_arity.items()
-    }
-    orbits: set[Word] = set()
-    for i in range(1, n + 1):
-        inner, outer = sorted_entries.get(i), sorted_entries.get(n + 1 - i)
-        if not inner or not outer:
-            continue
-        by_letter: dict[int, list[Word]] = {}
-        for v, vec in inner.items():
-            for b in vec:
-                by_letter.setdefault(b, []).append(v)
-        for u in outer:
-            for b in set(u):
-                p = u.index(b)
-                rest = u[:p] + u[p + 1 :]
-                for v in by_letter.get(b, ()):
-                    orbits.add(tuple(sorted(v + rest)))
-    return orbits
-
-
 def verify_linfty(s: AStructure, max_arity: int) -> Report:
     """Symmetrize the transferred maps and sweep the Jacobi relation.
 
     The Jacobi expression of a graded-symmetric family is itself
     graded-symmetric (Lada-Markl), so J(sigma . y) = sign * J(y) and an
     orbit of rearrangements fails exactly when any one of its words does.
-    For each arity the sweep evaluates ``linfty_defect`` once on the sorted
-    representative of each candidate orbit (``_candidate_orbits``), and on
-    every rearrangement of a representative that fails; every other word
-    is zero by construction.  Each record still certifies all dim**n words
-    and is reported exactly like the structure checks, under the check
-    name ``linfty``.
+    A term at y applies l_i to a block of y and l_j (i + j = n + 1) to
+    (b,) + rest, b a letter of the inner value.  Both supports are unions
+    of orbits, so y's letters are M(v) + M(u) - {b} for sorted entries v
+    and u: the sorted image of their ``_backend._splices``.  That set is
+    bounded by the C(dim+n-1, n) letter multisets, so it is never replaced
+    by all words.  The sweep evaluates ``linfty_defect`` once per sorted
+    representative, and on every rearrangement of one that fails; every
+    other word is zero by construction.  Each record still certifies all
+    dim**n words and is reported like the structure checks, under the
+    check name ``linfty``.
     """
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
@@ -251,11 +221,16 @@ def verify_linfty(s: AStructure, max_arity: int) -> Report:
     maps = [
         symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(max_arity)
     ]
-    by_arity = _family_by_arity(maps)
+    # one entry per orbit: its sorted representative
+    sorted_tables = {
+        m.arity: {w: vec for w, vec in m.table.items() if list(w) == sorted(w)}
+        for m in maps
+    }
     records = []
     for arity in range(1, max_arity + 1):
+        _, splices = _backend._splices(sorted_tables, arity)
         failures = []
-        for rep in _candidate_orbits(by_arity, arity):
+        for rep in {tuple(sorted(w)) for w in splices}:
             # rep comes first; the orbit is zero or nonzero as a whole
             for word in _rearrangements(rep):
                 defect = linfty_defect(maps, word)

@@ -1,5 +1,6 @@
 """The sweeps against the literal per-word oracle, and exactness."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -260,3 +261,28 @@ def test_coderivation_words_visited_on_the_example(monkeypatch):
         assert backend._sweep_one(primed, "coderivation", n, [], tables, scale) == []
         counts.append(len(visited))
     assert counts == [62, 197]
+
+
+def test_words_visited_on_a_failing_structure(monkeypatch):
+    """Bad windows pad the coderivation sweep; the direct sweep stays on candidates.
+
+    Padding the direct sweep too raises its 81 visits to 632.
+    """
+    visits = {"direct": Counter(), "coderivation": Counter()}
+
+    def counting(check, core):
+        def wrapper(tables, degrees, word):
+            visits[check][len(word)] += 1
+            return core(tables, degrees, word)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        backend, "_stasheff_vec", counting("direct", backend._stasheff_vec)
+    )
+    monkeypatch.setattr(
+        backend, "_d_squared_raw", counting("coderivation", backend._d_squared_raw)
+    )
+    assert not verify_structure(mutated_structure(), 6).passed
+    assert [visits["direct"][n] for n in range(2, 7)] == [2, 8, 17, 27, 27]
+    assert [visits["coderivation"][n] for n in range(2, 7)] == [2, 10, 37, 128, 455]

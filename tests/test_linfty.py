@@ -2,10 +2,12 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ainfty._backend as backend
 import ainfty.linfty as linfty
 from ainfty import (
     EXAMPLE_SPACE,
@@ -22,6 +24,7 @@ from ainfty import (
     example_structure,
     koszul_permutation_sign,
     linfty_defect,
+    parse_structure,
     prime,
     symmetrize_prime,
     unshuffles,
@@ -432,6 +435,35 @@ def test_jacobi_words_evaluated_on_the_example(monkeypatch):
         assert verify_linfty(example_structure(), n).passed
         counts.append(len(calls))
     assert counts == [18, 42]
+
+
+def test_orbit_sweep_never_falls_back_to_all_words(monkeypatch):
+    """The A-infinity sweeps' all-words cap must not reach the orbit sweep.
+
+    At arity 2 the sorted entries of ``sparse-orbits.astr`` build 16 = 4**2
+    splices but only 7 of the 10 letter multisets, so a sweep that fell
+    back to all words would evaluate the other 3 orbits too: 27 calls.
+    """
+    path = Path(__file__).parent / "corpus" / "sparse-orbits.astr"
+    s = parse_structure(path.read_text(encoding="utf-8"), name="sparse-orbits")
+    primed = s.primed_version()
+    sorted_tables = {}
+    for k in (1, 2):
+        table = symmetrize_prime(primed.map_at(k)).table
+        sorted_tables[k] = {w: v for w, v in table.items() if list(w) == sorted(w)}
+    triples, splices = backend._splices(sorted_tables, 2)
+    assert triples == s.space.dim**2
+    assert len({tuple(sorted(w)) for w in splices}) == 7
+    calls = []
+    defect = linfty.linfty_defect
+
+    def counting(family, y):
+        calls.append(y)
+        return defect(family, y)
+
+    monkeypatch.setattr(linfty, "linfty_defect", counting)
+    assert not verify_linfty(s, 3).passed
+    assert len(calls) == 24
 
 
 def test_verify_linfty_matches_oracle_on_dense_tables():

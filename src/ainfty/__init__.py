@@ -11,7 +11,7 @@ run the same per-word cores as the public defect functions, the direct one
 only on the words that the supports of the maps can reach.
 """
 
-from ._backend import active_backend
+from ._backend import active_backend, verify_structure
 from .engine import (
     AStructure,
     MultiMap,
@@ -22,7 +22,6 @@ from .engine import (
     prime,
     stasheff_defect,
     unprime,
-    verify_structure,
 )
 from .errors import AinftyError, InputError, ParseError
 from .example import (

@@ -1,14 +1,16 @@
 """The sweeps: every basis word of each (check, arity) cell is certified.
 
 The per-word defect functions in ``engine`` are the reference
-implementation.  This module runs their raw cores over the words of each
-arity, collects the nonzero defects, and turns them into report records in
-a deterministic order.  Every sweep evaluates only the words that the
-supports of the maps can reach, all built by ``_splices``: the direct
-sweep the candidates of ``_direct_candidates``, the coderivation sweep
-those candidates of the primed tables plus the words that contain a bad
-window found at a lower arity (``_sweep_one``), and the ``linfty`` sweep
-their sorted images on the symmetrized tables (``linfty.verify_linfty``).
+implementation.  ``verify_structure`` owns the whole A-infinity run: it
+validates the request, snapshots the maps, runs their raw cores over the
+words of each arity, collects the nonzero defects, and turns them into
+report records in a deterministic order.  Every sweep evaluates only the
+words that the supports of the maps can reach, all built by ``_splices``:
+the direct sweep the candidates of ``_direct_candidates``, the
+coderivation sweep those candidates of the primed tables plus the words
+that contain a bad window found at a lower arity (``_sweep_one``), and the
+``linfty`` sweep their sorted images on the symmetrized tables
+(``linfty.verify_linfty``).
 Every other word is zero by construction, so each record still certifies
 all ``dim**n`` words; ``_to_record`` builds the records of all three.
 
@@ -31,7 +33,7 @@ from typing import Iterable, Iterator
 from .engine import AStructure, Tables, _d_squared_raw, _stasheff_vec
 from .errors import InputError
 from .graded import GradedSpace, Word
-from .report import CheckRecord, Failure
+from .report import CheckRecord, Failure, Report
 
 # a failure as raw data: (input word, [(defect word, coefficient), ...])
 RawFailure = tuple[Word, list[tuple[Word, Fraction]]]
@@ -148,7 +150,8 @@ def _sweep_one(
     that contains a bad window: a lower-arity word with R nonzero, as
     listed in ``windows``.  It pads the bad windows themselves, not the
     failing words of the arity below, whose windows may cancel.
-    ``run_checks`` collects bad windows for the coderivation check only.
+    ``verify_structure`` collects bad windows for the coderivation check
+    only; any ``check`` other than ``"coderivation"`` runs the direct one.
 
     ``tables`` are the integer tables of ``_scaled_tables`` with their
     ``scale``; tables above ``arity`` are ignored.  The defects of the
@@ -166,15 +169,13 @@ def _sweep_one(
                 failures.append(
                     (word, [(w, Fraction(c, denominator)) for w, c in acc.items()])
                 )
-    elif check == "direct":
+    else:
         for word in words:
             vec = _stasheff_vec(tables, degrees, word)
             if vec:
                 failures.append(
                     (word, [((b,), Fraction(c, denominator)) for b, c in vec.items()])
                 )
-    else:
-        raise InputError(f"unknown check {check!r}")
     return failures
 
 
@@ -193,17 +194,26 @@ def _to_record(
     )
 
 
-def run_checks(
-    unprimed: AStructure | None,
-    primed: AStructure | None,
-    checks: list[str],
-    max_arity: int,
-) -> list[CheckRecord]:
-    """Run the selected checks over arities 1..max_arity; deterministic order."""
-    by_check = {"direct": unprimed, "coderivation": primed}
+def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Report:
+    """Check all basis words of arity 1..max_arity.
+
+    ``mode`` selects the direct identity, the coderivation square, or both.
+    Both checks evaluate only the words built from an outer and an inner
+    table entry, and the coderivation check also the words that contain a
+    lower-arity word whose square has a one-letter term; at every other
+    word each term is zero, so all words are still certified.  The report
+    ordering is deterministic.
+    """
+    if max_arity < 1:
+        raise InputError("max_arity must be >= 1")
+    checks = {"direct": ["direct"], "coderivation": ["coderivation"],
+              "both": ["direct", "coderivation"]}.get(mode)
+    if checks is None:
+        raise InputError(f"unknown mode {mode!r}")
+    snap = s.snapshot(max_arity)
     records = []
     for check in checks:
-        structure = by_check[check]
+        structure = snap.unprimed_version() if check == "direct" else snap.primed_version()
         tables, scale = _scaled_tables(structure, max_arity)
         windows: list[Word] = []
         for arity in range(1, max_arity + 1):
@@ -212,4 +222,9 @@ def run_checks(
             if check == "coderivation":
                 # bad windows: the words whose defect has a one-letter term
                 windows += [w for w, d in failures if any(len(dw) == 1 for dw, _ in d)]
-    return records
+    return Report(
+        structure=s.name,
+        convention=s.space.convention,
+        max_arity=max_arity,
+        checks=tuple(records),
+    )

@@ -9,10 +9,12 @@ output, diagnostics to standard error; no outcome prints a traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
-from .engine import AStructure, apply_map, d_squared, prime, verify_structure
+from ._backend import verify_structure
+from .engine import AStructure, apply_map, d_squared, prime
 from .errors import AinftyError, InputError
 from .example import BUILTIN_STRUCTURES, lemma1_check
 from .formats import parse_structure
@@ -122,8 +124,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unprintable(dim: int, max_arity: int, n_checks: int, fmt: str) -> None:
+    """Refuse, before any sweep, a report with an integer too long to print.
+
+    Python refuses ``str()`` of an int with more digits than
+    ``sys.get_int_max_str_digits()`` (0: no limit; Pythons before 3.10.7
+    have none).  Every record prints dim**arity, and the text result line
+    the total over all ``n_checks * arities`` records.  The limit also
+    guards the parser's ``int()`` calls on file input, so it stays.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    # far past the limit, skip building the exact powers
+    if max_arity * math.log10(dim) <= limit + 1:
+        if fmt == "machine":
+            largest = dim**max_arity
+        else:
+            largest = n_checks * sum(dim**n for n in range(1, max_arity + 1))
+        if largest < 10**limit:
+            return
+    raise InputError(
+        f"--max-arity {max_arity}: the {fmt} report would print an integer of "
+        f"more than {limit} digits (sys.get_int_max_str_digits())"
+    )
+
+
 def _cmd_verify(args) -> int:
     s = _load_structure(args)
+    _refuse_unprintable(
+        s.space.dim, args.max_arity, 2 if args.check == "both" else 1, args.format
+    )
     report = verify_structure(s, args.max_arity, mode=args.check)
     sys.stdout.buffer.write(emit_report(report, format=args.format))
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -143,6 +174,7 @@ def _cmd_lemma1(args) -> int:
 
 def _cmd_linfty(args) -> int:
     s = _load_structure(args)
+    _refuse_unprintable(s.space.dim, args.max_arity, 1, args.format)
     report = verify_linfty(s, args.max_arity)
     sys.stdout.buffer.write(emit_report(report, format=args.format))
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -191,10 +223,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except AinftyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (AinftyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, not a verdict: keep exit 1 for defects

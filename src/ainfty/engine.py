@@ -11,10 +11,10 @@ defining identities are implemented side by side:
   and evaluates D(D(word)), which must vanish.
 
 The per-word functions here are the reference oracle and compute in
-``Fraction``; ``_backend`` runs their raw cores for the sweeps on tables
-scaled to integers, over only the words the table supports can reach (for
-the coderivation sweep, also the words that contain a failing lower-arity
-window).
+``Fraction``.  This module runs no sweep: ``_backend.verify_structure``
+runs their raw cores on tables scaled to integers, over only the words the
+table supports can reach (for the coderivation sweep, also the words that
+contain a failing lower-arity window).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .graded import (
     normalize_vector,
     word_degree,
 )
-from .report import Report
 from .signs import _alpha_parity, desusp_word_sign, susp_iso_sign
 
 # Internal sweep representation: arity -> {word: {basis: coeff}}.
@@ -187,9 +186,7 @@ class AStructure:
         return sorted(k for k, m in self._maps.items() if m is not None)
 
     def arities_up_to(self, n: int) -> list[int]:
-        if self._generator is not None:
-            return [k for k in range(1, n + 1) if self.map_at(k) is not None]
-        return sorted(k for k, m in self._maps.items() if k <= n and m is not None)
+        return [k for k in range(1, n + 1) if self.map_at(k) is not None]
 
     def tables_up_to(self, n: int) -> Tables:
         out: Tables = {}
@@ -388,33 +385,3 @@ def stasheff_defect(s: AStructure, x: Word) -> Vector:
     x = tuple(x)
     s.space.check_word(x)
     return _stasheff_vec(s.tables_up_to(len(x)), s.space.degrees, x)
-
-
-def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Report:
-    """Check all basis words of arity 1..max_arity.
-
-    ``mode`` selects the direct identity, the coderivation square, or both.
-    Both checks evaluate only the words built from an outer and an inner
-    table entry, and the coderivation check also the words that contain a
-    lower-arity word whose square has a one-letter term; at every other
-    word each term is zero, so all words are still certified.  The report
-    ordering is deterministic.
-    """
-    from . import _backend  # deferred: _backend imports this module's internals
-
-    if max_arity < 1:
-        raise InputError("max_arity must be >= 1")
-    checks = {"direct": ["direct"], "coderivation": ["coderivation"],
-              "both": ["direct", "coderivation"]}.get(mode)
-    if checks is None:
-        raise InputError(f"unknown mode {mode!r}")
-    snap = s.snapshot(max_arity)
-    unprimed = snap.unprimed_version() if "direct" in checks else None
-    primed = snap.primed_version() if "coderivation" in checks else None
-    records = _backend.run_checks(unprimed, primed, checks, max_arity)
-    return Report(
-        structure=s.name,
-        convention=s.space.convention,
-        max_arity=max_arity,
-        checks=tuple(records),
-    )

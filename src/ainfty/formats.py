@@ -15,13 +15,15 @@ off against a table by eye:
 
 Sections must appear in this order: the header line, the convention line,
 one or more basis lines, then any number of map lines.  Coefficients are
-integers or ``p/q`` rationals.  A file declaring ``convention chain`` has
+integers or ``p/q`` rationals; every integer (coefficient part, degree or
+arity) is ASCII ``[+-]?[0-9]+``.  A file declaring ``convention chain`` has
 its degrees negated on the way in (and back on the way out), so the engine
 always runs one internal convention.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .engine import AStructure, MultiMap
@@ -31,12 +33,24 @@ from .graded import BasisElement, GradedSpace, Vector, Word
 HEADER = "ainfty v1"
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(token: str) -> int:
+    """``int(token)`` for ASCII ``[+-]?[0-9]+`` only.
+
+    ``int()`` alone also reads ``1_0`` as 10 and accepts any Unicode
+    decimal digit; this raises ``ValueError`` on those instead.
+    """
+    if not _INT.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_coeff(token: str, lineno: int) -> Fraction:
+    num, slash, den = token.partition("/")
     try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(token))
+        return Fraction(_int(num), _int(den) if slash else 1)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"malformed rational {token!r}", lineno) from None
 
@@ -73,7 +87,7 @@ def parse_structure(text: str, name: str = "structure") -> AStructure:
         if len(parts) != 3:
             raise ParseError("expected 'basis <name> <integer-degree>'", lineno)
         try:
-            degree = int(parts[2])
+            degree = _int(parts[2])
         except ValueError:
             raise ParseError(f"malformed degree {parts[2]!r}", lineno) from None
         if convention == "chain":
@@ -103,7 +117,7 @@ def parse_structure(text: str, name: str = "structure") -> AStructure:
         if len(parts) != 2:
             raise ParseError("expected 'map <k>: ...'", lineno)
         try:
-            arity = int(parts[1])
+            arity = _int(parts[1])
         except ValueError:
             raise ParseError(f"malformed arity {parts[1]!r}", lineno) from None
         if arity < 1:

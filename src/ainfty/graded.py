@@ -18,8 +18,7 @@ Representation choices, shared package-wide:
 
 All values are immutable after construction (tuples, frozen dataclasses) or
 treated as immutable by convention (the dicts inside vectors and
-polynomials); every operation is a pure function, so values can be shared
-across concurrent workers without synchronization.
+polynomials); every operation is a pure function.
 """
 
 from __future__ import annotations

@@ -31,13 +31,6 @@ from .report import Report
 from .signs import koszul_permutation_sign, pass_operator_sign
 
 
-def _invert(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(sigma)
-    for i, p in enumerate(sigma):
-        inv[p] = i
-    return tuple(inv)
-
-
 @dataclass(frozen=True)
 class SymMultiMap:
     """A graded-symmetric degree-1 map on desuspended words.
@@ -183,16 +176,15 @@ def linfty_defect(family: Iterable[SymMultiMap], y: Word) -> TensorPoly:
         if inner is None or outer is None:
             continue
         for order in unshuffles(i, n - i):
-            # rearranging y into picked order costs the sign of the
-            # inverse permutation (letters indexed at original slots)
-            sign = koszul_permutation_sign(degs, _invert(order))
-            inner_val = inner.value(tuple(y[p] for p in order[:i]))
+            inner_val = inner.table.get(tuple(y[p] for p in order[:i]))
             if not inner_val:
                 continue
+            # picking the letters out of y crosses the same pairs as moving
+            # the picked-order word back to y, which sends slot q to order[q]
+            sign = koszul_permutation_sign([degs[p] for p in order], order)
             rest = tuple(y[p] for p in order[i:])
             for b, c in inner_val.items():
-                outer_val = outer.value((b,) + rest)
-                for b2, c2 in outer_val.items():
+                for b2, c2 in outer.table.get((b,) + rest, {}).items():
                     acc[b2] = acc.get(b2, Fraction(0)) + sign * c * c2
     return TensorPoly(space, {(b,): c for b, c in acc.items() if c})
 

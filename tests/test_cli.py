@@ -1,8 +1,10 @@
 """End-to-end command-line behavior and exit-code partitioning."""
 
+import sys
+
 import pytest
 
-from ainfty import cli, serialize_structure
+from ainfty import InputError, cli, serialize_structure
 from ainfty.cli import run_cli
 from test_engine import mutated_structure, truncated_example
 
@@ -117,6 +119,75 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert "invariant violated" in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def digit_limit():
+    """Pin Python's int-to-str digit limit at its default, 4300."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+# the machine report prints dim**N, the text result line the total
+# n_checks * (dim + dim**2 + ... + dim**N); the last arity whose integer
+# still prints.  10**4300 is the first int of 4301 digits
+@pytest.mark.parametrize(
+    "dim, fmt, n_checks, last",
+    [
+        (3, "machine", 1, 9012),
+        (3, "machine", 2, 9012),
+        (3, "text", 1, 9012),
+        (3, "text", 2, 9011),
+        (10, "machine", 1, 4299),
+    ],
+)
+def test_unprintable_report_boundary(digit_limit, dim, fmt, n_checks, last):
+    cli._refuse_unprintable(dim, last, n_checks, fmt)
+    with pytest.raises(InputError, match="more than 4300 digits"):
+        cli._refuse_unprintable(dim, last + 1, n_checks, fmt)
+
+
+def test_unprintable_report_helper_agrees_with_python(digit_limit):
+    assert len(str(3**9012)) == 4300
+    with pytest.raises(ValueError):
+        str(3**9013)
+    # far past the limit the refusal builds no power of dim
+    with pytest.raises(InputError):
+        cli._refuse_unprintable(3, 10**12, 1, "machine")
+    cli._refuse_unprintable(1, 10**5, 2, "text")
+    sys.set_int_max_str_digits(0)  # no limit
+    cli._refuse_unprintable(3, 10**5, 2, "text")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--check", "direct", "--format", "machine", "--max-arity", "9013"],
+        ["verify", "--check", "both", "--format", "machine", "--max-arity", "9013"],
+        ["verify", "--check", "direct", "--max-arity", "9013"],
+        ["verify", "--check", "both", "--max-arity", "9012"],
+        ["linfty", "--format", "machine", "--max-arity", "9013"],
+        ["linfty", "--max-arity", "9013"],
+    ],
+)
+def test_unprintable_report_refused_before_any_sweep(
+    argv, digit_limit, monkeypatch, capsys
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(cli, "verify_structure", no_sweep)
+    monkeypatch.setattr(cli, "verify_linfty", no_sweep)
+    code = run_cli(argv + ["--builtin", "paper-example"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max-arity ")
+    assert captured.err.count("\n") == 1
 
 
 def test_usage_errors_exit_two(capsys):

@@ -79,6 +79,40 @@ def test_parse_malformed_rational_rejected():
         parse_structure(text)
 
 
+ABC_HEADER = "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # int() alone reads 1_0 as 10 and accepts any Unicode decimal digit
+        (ABC_HEADER + "map 2: a a -> 1_0 a\n", 5),
+        (ABC_HEADER + "map 2: a a -> 1/1_0 a\n", 5),
+        (ABC_HEADER + "map 2: a a -> \u0663 a\n", 5),
+        (ABC_HEADER + "map 2: a a -> 1/\u0663 a\n", 5),
+        (ABC_HEADER + "map 2: a a -> \uff11 a\n", 5),
+        (ABC_HEADER + "map \u0661: a -> 3 b\n", 5),
+        (ABC_HEADER + "map 1_1: a a a a a a a a a a a -> 1 a\n", 5),
+        ("ainfty v1\nconvention cochain\nbasis a \u0660\n", 3),
+        ("ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1_0\n", 4),
+    ],
+)
+def test_parse_accepts_only_ascii_integers(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_structure(text)
+    assert exc.value.line == line
+
+
+def test_parse_signed_ascii_integers():
+    s = parse_structure(
+        "ainfty v1\nconvention cochain\nbasis a +0\nbasis b -1\n"
+        "map 2: a a -> 3/-4 a + -1 a\nmap +1: b -> 2 a\n"
+    )
+    assert s.space.degrees == (0, -1)
+    assert s.map_at(2).table[(0, 0)] == {0: Fraction(-7, 4)}
+    assert s.map_at(1).table[(1,)] == {0: Fraction(2)}
+
+
 def test_parse_header_and_section_errors():
     with pytest.raises(ParseError):
         parse_structure("not a header\n")

@@ -239,6 +239,26 @@ def test_linfty_defect_matches_permutation_oracle(n):
         assert {w[0]: c for w, c in got.terms.items()} == expected
 
 
+def test_linfty_defect_matches_permutation_oracle_on_failures():
+    """The example's Jacobi values are all zero; these families are not."""
+    for s, max_arity, nonzero in [
+        (mutated_structure(4), 4, 20),
+        (two_term_failure(), 4, 2),
+        (repeated_even_failure(), 4, 3),
+    ]:
+        primed = s.primed_version()
+        family = [
+            symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(max_arity)
+        ]
+        seen = 0
+        for n in range(1, max_arity + 1):
+            for y in s.space.basis_words(n):
+                got = {w[0]: c for w, c in linfty_defect(family, y).terms.items()}
+                assert got == oracle_defect(family, y), (s.name, y)
+                seen += bool(got)
+        assert seen == nonzero, s.name
+
+
 def test_linfty_defect_single_map_family_is_composition_square():
     m1 = symmetrize_prime(example_mprime(1))
     for y in EXAMPLE_SPACE.basis_words(1):

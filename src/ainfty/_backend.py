@@ -6,13 +6,12 @@ validates the request, snapshots the maps, runs their raw cores over the
 words of each arity, collects the nonzero defects, and turns them into
 report records in a deterministic order.  Every sweep evaluates only the
 words that the supports of the maps can reach, all built by ``_splices``:
-the direct sweep the candidates of ``_direct_candidates``, the
-coderivation sweep those candidates of the primed tables plus the words
-that contain a bad window found at a lower arity (``_sweep_one``), and the
-``linfty`` sweep their sorted images on the symmetrized tables
-(``linfty.verify_linfty``).
-Every other word is zero by construction, so each record still certifies
-all ``dim**n`` words; ``_to_record`` builds the records of all three.
+both A-infinity sweeps the candidates of ``_direct_candidates`` (the
+coderivation sweep assembles its other defects from the one-letter parts
+found there, see ``_sweep_one``), and the ``linfty`` sweep their sorted
+images on the symmetrized tables (``linfty.verify_linfty``).  Every other
+word is zero by construction, so each record still certifies all
+``dim**n`` words; ``_to_record`` builds the records of all three.
 
 Both sweeps run on Python ints.  Each check scales every table coefficient
 by ``scale``, the lcm of all their denominators (``_scaled_tables``).
@@ -32,7 +31,7 @@ from typing import Iterable, Iterator
 
 from .engine import AStructure, Tables, _d_squared_raw, _stasheff_vec
 from .errors import InputError
-from .graded import GradedSpace, Word
+from .graded import GradedSpace, Vector, Word
 from .report import CheckRecord, Failure, Report
 
 # a failure as raw data: (input word, [(defect word, coefficient), ...])
@@ -75,9 +74,7 @@ def _splices(tables: Tables, n: int) -> tuple[int, Iterator[Word]]:
     return triples, words
 
 
-def _direct_candidates(
-    tables: Tables, space: GradedSpace, n: int, windows: Iterable[Word] = ()
-) -> Iterable[Word]:
+def _direct_candidates(tables: Tables, space: GradedSpace, n: int) -> Iterable[Word]:
     """The arity-n words at which the direct identity can be nonzero.
 
     A term of the identity at a word x pairs an inner entry v = x[lam:lam+k]
@@ -85,8 +82,7 @@ def _direct_candidates(
     where b is a letter of v's output, so x is a splice of u and v.  At any
     other word every term meets an absent table entry.  On primed tables
     these are the words where the one-letter part of D(D(x)) can be
-    nonzero; the coderivation sweep adds every word that contains one of
-    its bad ``windows`` (``_sweep_one``).
+    nonzero, so both A-infinity sweeps evaluate exactly these words.
 
     When the triples number at least dim**n (dense tables), building the
     set would take at least as many steps as iterating every word, so all
@@ -95,21 +91,7 @@ def _direct_candidates(
     triples, splices = _splices(tables, n)
     if triples >= space.dim**n:
         return space.basis_words(n)
-    words = set(splices)
-    words.update(_containing(windows, space.dim, n))
-    return words
-
-
-def _containing(windows: Iterable[Word], dim: int, n: int) -> Iterator[Word]:
-    """The arity-n words that contain one of the (shorter) windows, lazily."""
-    letters = range(dim)
-    return (
-        pre + x + suf
-        for x in windows
-        for i in range(n - len(x) + 1)
-        for pre in product(letters, repeat=i)
-        for suf in product(letters, repeat=n - len(x) - i)
-    )
+    return set(splices)
 
 
 def _scaled_tables(structure: AStructure, max_arity: int) -> tuple[Tables, int]:
@@ -136,46 +118,50 @@ def _sweep_one(
     structure: AStructure,
     check: str,
     arity: int,
-    windows: list[Word],
+    windows: dict[Word, Vector],
     tables: Tables,
     scale: int,
 ) -> list[RawFailure]:
     """Sweep one (check, arity) cell and return its nonzero defects.
 
+    Both checks evaluate their core only at the ``_direct_candidates``.
     D(D(.)) is again a coderivation, of even degree, so at a word
     P + x + S it is the sum over the windows x of P + R(x) + S, with no
-    sign, where R(x) is the one-letter part of D(D(x)).  R(x) can be
-    nonzero only at a direct candidate of the primed tables.  So the
-    coderivation sweep visits the candidates of this arity and every word
-    that contains a bad window: a lower-arity word with R nonzero, as
-    listed in ``windows``.  It pads the bad windows themselves, not the
-    failing words of the arity below, whose windows may cancel.
-    ``verify_structure`` collects bad windows for the coderivation check
-    only; any ``check`` other than ``"coderivation"`` runs the direct one.
+    sign, where R(x) is the one-letter part of D(D(x)), nonzero only at a
+    candidate.  So the coderivation check adds each nonzero R(x) of this
+    arity to ``windows``, the bad windows of one check's lower arities,
+    and assembles every defect from the placements of all of them.  Any
+    other ``check`` runs the direct one, which adds no window; each check
+    of ``verify_structure`` starts from an empty ``windows``.
 
     ``tables`` are the integer tables of ``_scaled_tables`` with their
     ``scale``; tables above ``arity`` are ignored.  The defects of the
     failing words are divided back by ``scale**2``.
     """
-    space = structure.space
-    degrees = space.degrees
+    degrees = structure.space.degrees
+    defects: dict[Word, dict[Word, int]] = {}
+    for word in _direct_candidates(tables, structure.space, arity):
+        if check == "coderivation":
+            d2 = _d_squared_raw(tables, degrees, word)
+            if top := {w[0]: c for w, c in d2.items() if len(w) == 1}:
+                windows[word] = top
+        elif vec := _stasheff_vec(tables, degrees, word):
+            defects[word] = {(b,): c for b, c in vec.items()}
+    letters = range(structure.space.dim)
+    for x, top in windows.items():
+        pad = arity - len(x)
+        for i in range(pad + 1):
+            for pre in product(letters, repeat=i):
+                for suf in product(letters, repeat=pad - i):
+                    acc = defects.setdefault(pre + x + suf, {})
+                    for b, c in top.items():
+                        w = pre + (b,) + suf
+                        acc[w] = acc.get(w, 0) + c
     denominator = scale * scale
-    words = _direct_candidates(tables, space, arity, windows)
-    failures: list[RawFailure] = []
-    if check == "coderivation":
-        for word in words:
-            acc = _d_squared_raw(tables, degrees, word)
-            if acc:
-                failures.append(
-                    (word, [(w, Fraction(c, denominator)) for w, c in acc.items()])
-                )
-    else:
-        for word in words:
-            vec = _stasheff_vec(tables, degrees, word)
-            if vec:
-                failures.append(
-                    (word, [((b,), Fraction(c, denominator)) for b, c in vec.items()])
-                )
+    failures = []
+    for word, acc in defects.items():
+        if terms := [(w, Fraction(c, denominator)) for w, c in acc.items() if c]:
+            failures.append((word, terms))
     return failures
 
 
@@ -199,10 +185,10 @@ def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Repor
 
     ``mode`` selects the direct identity, the coderivation square, or both.
     Both checks evaluate only the words built from an outer and an inner
-    table entry, and the coderivation check also the words that contain a
-    lower-arity word whose square has a one-letter term; at every other
-    word each term is zero, so all words are still certified.  The report
-    ordering is deterministic.
+    table entry; the coderivation check sums the other words' squares from
+    the one-letter terms found there.  At every other word each term is
+    zero, so all words are still certified.  The report ordering is
+    deterministic.
     """
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
@@ -215,13 +201,10 @@ def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Repor
     for check in checks:
         structure = snap.unprimed_version() if check == "direct" else snap.primed_version()
         tables, scale = _scaled_tables(structure, max_arity)
-        windows: list[Word] = []
+        windows: dict[Word, Vector] = {}
         for arity in range(1, max_arity + 1):
             failures = _sweep_one(structure, check, arity, windows, tables, scale)
             records.append(_to_record(structure.space, check, arity, failures))
-            if check == "coderivation":
-                # bad windows: the words whose defect has a one-letter term
-                windows += [w for w, d in failures if any(len(dw) == 1 for dw, _ in d)]
     return Report(
         structure=s.name,
         convention=s.space.convention,

@@ -13,8 +13,8 @@ defining identities are implemented side by side:
 The per-word functions here are the reference oracle and compute in
 ``Fraction``.  This module runs no sweep: ``_backend.verify_structure``
 runs their raw cores on tables scaled to integers, over only the words the
-table supports can reach (for the coderivation sweep, also the words that
-contain a failing lower-arity window).
+table supports can reach, and sums every other coderivation defect from
+the one-letter parts of D(D(.)) found there.
 """
 
 from __future__ import annotations

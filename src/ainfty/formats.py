@@ -16,9 +16,10 @@ off against a table by eye:
 Sections must appear in this order: the header line, the convention line,
 one or more basis lines, then any number of map lines.  Coefficients are
 integers or ``p/q`` rationals; every integer (coefficient part, degree or
-arity) is ASCII ``[+-]?[0-9]+``.  A file declaring ``convention chain`` has
-its degrees negated on the way in (and back on the way out), so the engine
-always runs one internal convention.
+arity) is ASCII ``[+-]?[0-9]+``.  A basis name holds no whitespace, ``#``,
+``+`` or ``->``, which the map lines use as separators.  A file declaring
+``convention chain`` has its degrees negated on the way in (and back on
+the way out), so the engine always runs one internal convention.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ def _int(token: str) -> int:
     if not _INT.fullmatch(token):
         raise ValueError(token)
     return int(token)
+
+
+def _name_error(name: str) -> str | None:
+    """Why a basis name cannot be written on a map line, or None if it can."""
+    if any(ch.isspace() or ch in "#+" for ch in name) or "->" in name:
+        return f"basis name {name!r} contains whitespace, '#', '+' or '->'"
+    return None
 
 
 def _parse_coeff(token: str, lineno: int) -> Fraction:
@@ -92,6 +100,8 @@ def parse_structure(text: str, name: str = "structure") -> AStructure:
             raise ParseError(f"malformed degree {parts[2]!r}", lineno) from None
         if convention == "chain":
             degree = -degree
+        if why := _name_error(parts[1]):
+            raise ParseError(why, lineno)
         try:
             elements.append(BasisElement(parts[1], degree))
         except InputError as exc:
@@ -177,7 +187,8 @@ def serialize_structure(s: AStructure) -> str:
     Basis lines follow the space order and map lines are sorted by arity
     then word, so serialization is deterministic; a chain-convention space
     gets its declared (negated-back) degrees.  Generator-backed structures
-    exist at every arity and have no finite file form.
+    exist at every arity and have no finite file form, nor does a space
+    with a basis name that the map lines cannot carry.
     """
     if not s.is_finite:
         raise InputError("generator-backed structures cannot be serialized")
@@ -187,6 +198,8 @@ def serialize_structure(s: AStructure) -> str:
     sign = -1 if space.convention == "chain" else 1
     lines = [HEADER, f"convention {space.convention}"]
     for el in space.elements:
+        if why := _name_error(el.name):
+            raise InputError(why)
         lines.append(f"basis {el.name} {sign * el.degree}")
     for arity in s.arities:
         table = s.map_at(arity).table

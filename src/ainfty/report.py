@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import InputError
 
 # A defect term: exact coefficient on a tensor word of basis names.
 DefectTerm = tuple[Fraction, tuple[str, ...]]
@@ -59,8 +62,21 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     """Render a report as bytes: ``text`` for humans, ``machine`` for tools.
 
     Both renderings are deterministic (no timestamps, fixed ordering), so
-    re-emission of the same report is byte-identical.
+    re-emission of the same report is byte-identical.  A defect coefficient
+    with more digits than ``sys.get_int_max_str_digits()`` allows (0: no
+    limit) raises ``InputError`` before anything is rendered.
     """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        bound = 10**limit
+        for rec in report.checks:
+            for f in rec.failures:
+                for c, _ in f.defect:
+                    if abs(c.numerator) >= bound or c.denominator >= bound:
+                        raise InputError(
+                            f"the report would print a coefficient of more than "
+                            f"{limit} digits (sys.get_int_max_str_digits())"
+                        )
     if format == "text":
         lines = [
             f"structure: {report.structure}",

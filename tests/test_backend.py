@@ -226,7 +226,7 @@ def test_direct_candidate_counts_on_the_example():
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_coderivation_sweep_matches_oracle_on_random_structures(data):
-    """About a third of these fail below arity 4, so bad windows get padded."""
+    """About a third of these fail below arity 4, so bad windows get placed."""
     s = data.draw(
         random_structures(
             max_arity=3, max_entries=6, min_dim=2, max_dim=3, min_degree=-1, max_degree=1
@@ -240,6 +240,45 @@ def test_coderivation_sweep_matches_oracle_on_the_mutated_example():
     s = mutated_structure()
     report = verify_structure(s, 6, mode="coderivation")
     assert report == oracle_report(s, 6, checks=("coderivation",))
+
+
+def one_letter_part(primed: AStructure, word) -> dict:
+    return {w: c for w, c in d_squared(primed, word).terms.items() if len(w) == 1}
+
+
+def test_coderivation_placements_that_cancel_are_not_reported():
+    """Two bad windows of a t a put opposite coefficients on the word a a."""
+    s = parse_structure(
+        "ainfty v1\nconvention cochain\nbasis a 0\nbasis t -1\n"
+        "map 1: t -> 1 a\nmap 2: a t -> 1 t\nmap 2: t a -> 1 t\n",
+        name="cancel",
+    )
+    a, t = 0, 1
+    primed = s.primed_version()
+    assert one_letter_part(primed, (a, t)) == {(a,): 1}
+    assert one_letter_part(primed, (t, a)) == {(a,): -1}
+    assert d_squared(primed, (a, t, a)).is_zero()
+    report = verify_structure(s, 5, mode="coderivation")
+    assert report == oracle_report(s, 5, checks=("coderivation",))
+    assert ("a", "t", "a") not in [f.word for f in report.checks[2].failures]
+    assert [len(rec.failures) for rec in report.checks] == [0, 2, 5, 13, 28]
+
+
+def test_coderivation_windows_of_two_arities_add_into_one_defect():
+    """At a a a, the bad windows a and a a both contribute terms."""
+    s = parse_structure(
+        "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\nbasis c 2\n"
+        "map 1: a -> 1 b\nmap 1: b -> 1 c\nmap 2: a a -> 1 a\n",
+        name="two-arities",
+    )
+    primed = s.primed_version()
+    assert one_letter_part(primed, (0,)) and one_letter_part(primed, (0, 0))
+    defect = d_squared(primed, (0, 0, 0)).terms
+    assert {len(w) for w in defect} == {2, 3}
+    report = verify_structure(s, 5, mode="coderivation")
+    assert report == oracle_report(s, 5, checks=("coderivation",))
+    failure = next(f for f in report.checks[2].failures if f.word == ("a", "a", "a"))
+    assert len(failure.defect) == len(defect)
 
 
 def test_coderivation_words_visited_on_the_example(monkeypatch):
@@ -258,15 +297,17 @@ def test_coderivation_words_visited_on_the_example(monkeypatch):
     for n in (7, 12):
         visited.clear()
         tables, scale = backend._scaled_tables(primed, n)
-        assert backend._sweep_one(primed, "coderivation", n, [], tables, scale) == []
+        assert backend._sweep_one(primed, "coderivation", n, {}, tables, scale) == []
         counts.append(len(visited))
     assert counts == [62, 197]
 
 
 def test_words_visited_on_a_failing_structure(monkeypatch):
-    """Bad windows pad the coderivation sweep; the direct sweep stays on candidates.
+    """Both sweeps evaluate their core only at the candidates, even failing.
 
-    Padding the direct sweep too raises its 81 visits to 632.
+    The coderivation sweep assembles the defects of the words that contain a
+    bad window instead of evaluating D(D(.)) there; evaluating every such
+    word raises its visits to 2, 10, 37, 128, 455 (632 in all).
     """
     visits = {"direct": Counter(), "coderivation": Counter()}
 
@@ -285,4 +326,4 @@ def test_words_visited_on_a_failing_structure(monkeypatch):
     )
     assert not verify_structure(mutated_structure(), 6).passed
     assert [visits["direct"][n] for n in range(2, 7)] == [2, 8, 17, 27, 27]
-    assert [visits["coderivation"][n] for n in range(2, 7)] == [2, 10, 37, 128, 455]
+    assert [visits["coderivation"][n] for n in range(2, 7)] == [2, 8, 17, 27, 27]

@@ -1,10 +1,19 @@
 """End-to-end command-line behavior and exit-code partitioning."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 
-from ainfty import InputError, cli, serialize_structure
+from ainfty import (
+    CheckRecord,
+    Failure,
+    InputError,
+    Report,
+    cli,
+    emit_report,
+    serialize_structure,
+)
 from ainfty.cli import run_cli
 from test_engine import mutated_structure, truncated_example
 
@@ -188,6 +197,84 @@ def test_unprintable_report_refused_before_any_sweep(
     assert captured.out == ""
     assert captured.err.startswith("error: --max-arity ")
     assert captured.err.count("\n") == 1
+
+
+# a 4000-digit coefficient prints; a product of two of them does not
+BIG = "7" * 4000
+BIG_FAILING = f"""ainfty v1
+convention cochain
+basis a 0
+basis b 0
+map 2: a a -> {BIG} b
+map 2: b a -> {BIG} a
+"""
+BIG_PASSING = f"""ainfty v1
+convention cochain
+basis a 0
+basis b 0
+map 2: a a -> {BIG} b
+"""
+# d(d(a)) = BIG**2 c: fails the Jacobi relation of arity 1
+BIG_LINFTY = f"""ainfty v1
+convention cochain
+basis a 0
+basis b 1
+basis c 2
+map 1: a -> {BIG} b
+map 1: b -> {BIG} c
+"""
+
+
+def _run_file(tmp_path, text, argv):
+    path = tmp_path / "big.astr"
+    path.write_text(text)
+    return run_cli(argv + ["--input", str(path), "--max-arity", "3"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (BIG_FAILING, ["verify", "--check", "direct"]),
+        (BIG_FAILING, ["verify", "--check", "coderivation"]),
+        (BIG_FAILING, ["verify", "--check", "both"]),
+        (BIG_LINFTY, ["linfty"]),
+    ],
+)
+def test_unprintable_defect_coefficient_exits_two(
+    text, argv, fmt, digit_limit, tmp_path, capsys
+):
+    code = _run_file(tmp_path, text, argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "more than 4300 digits" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("argv", [["verify", "--check", "both"], ["linfty"]])
+def test_long_coefficients_in_a_passing_file_still_print(
+    argv, fmt, digit_limit, tmp_path, capsys
+):
+    assert _run_file(tmp_path, BIG_PASSING, argv + ["--format", fmt]) == 0
+    assert "PASS" in capsys.readouterr().out.upper()
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_unprintable_defect_coefficient_boundary(fmt, digit_limit):
+    def report(c):
+        failure = Failure(word=("a",), defect=((c, ("b",)),))
+        return Report("s", "cochain", 1, (CheckRecord("direct", 1, 2, (failure,)),))
+
+    for c in (Fraction(10**4300 - 1), Fraction(-(10**4300) + 1), Fraction(1, 10**4300 - 1)):
+        emit_report(report(c), format=fmt)
+    for c in (Fraction(10**4300), Fraction(-(10**4300)), Fraction(1, 10**4300)):
+        with pytest.raises(InputError, match="more than 4300 digits"):
+            emit_report(report(c), format=fmt)
+    sys.set_int_max_str_digits(0)  # no limit
+    emit_report(report(Fraction(10**4300)), format=fmt)
 
 
 def test_usage_errors_exit_two(capsys):

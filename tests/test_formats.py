@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import (
     AStructure,
+    BasisElement,
+    GradedSpace,
+    InputError,
     MultiMap,
     ParseError,
     emit_report,
@@ -173,6 +176,37 @@ def test_serialize_rejects_generator_backed():
 
     with pytest.raises(Exception):
         serialize_structure(example_structure())
+
+
+# each breaks the map line: '+' splits terms, '->' splits sides, '#' starts
+# a comment and whitespace splits names
+UNWRITABLE_NAMES = ["a+b", "->", "x->y", "a#b", "a b", "a\tb"]
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_NAMES)
+def test_parse_rejects_unwritable_basis_name_on_its_line(name):
+    text = f"ainfty v1\nconvention cochain\nbasis v 0\nbasis {name} 0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_structure(text)
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_NAMES)
+def test_serialize_rejects_unwritable_basis_name(name):
+    space = GradedSpace((BasisElement("v", 0), BasisElement(name, 0)))
+    s = AStructure(space, maps={2: MultiMap(space, 2, {(0, 0): {1: 1}})})
+    with pytest.raises(InputError, match="basis name"):
+        serialize_structure(s)
+
+
+def test_basis_names_with_other_punctuation_round_trip():
+    names = ["a-b", "a>b", "-", ">", "a:b", "a,b", "a/b", "a*b"]
+    space = GradedSpace(tuple(BasisElement(nm, 0) for nm in names))
+    table = {(i, i): {(i + 1) % len(names): Fraction(i + 1, 3)} for i in range(len(names))}
+    s = AStructure(space, maps={2: MultiMap(space, 2, table)})
+    s2 = parse_structure(serialize_structure(s))
+    assert s2.space == space
+    assert s2.map_at(2) == s.map_at(2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,9 +6,9 @@ direct quadratic identity and the square of the induced tensor-coalgebra
 coderivation), ships a three-element example that carries such a structure
 at every arity, and produces the induced symmetrized (bracket-style) data.
 
-All arithmetic is exact rational; the sweeps (see ``ainfty._backend``)
-run the same per-word cores as the public defect functions, the direct one
-only on the words that the supports of the maps can reach.
+All arithmetic is exact rational.  The sweeps (see ``ainfty._backend``)
+sum the same terms as the public per-word defect functions, but walk the
+pairs of table entries that build them instead of the words.
 """
 
 from ._backend import active_backend, verify_structure

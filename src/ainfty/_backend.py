@@ -2,15 +2,17 @@
 
 The per-word defect functions in ``engine`` are the reference
 implementation.  ``verify_structure`` owns the whole A-infinity run: it
-validates the request, snapshots the maps, runs their raw cores over the
-words of each arity, collects the nonzero defects, and turns them into
-report records in a deterministic order.  Every sweep evaluates only the
-words that the supports of the maps can reach, all built by ``_splices``:
-both A-infinity sweeps the candidates of ``_direct_candidates`` (the
-coderivation sweep assembles its other defects from the one-letter parts
-found there, see ``_sweep_one``), and the ``linfty`` sweep their sorted
-images on the symmetrized tables (``linfty.verify_linfty``).  Every other
-word is zero by construction, so each record still certifies all
+validates the request, snapshots the maps, sums the terms of each arity's
+identities, collects the nonzero defects, and turns them into report
+records in a deterministic order.  No sweep visits every word; each walks
+what the supports of the maps can reach.  Both A-infinity sweeps walk the
+(outer entry, position, inner entry) triples of the tables once, in
+``_top_sums``, adding each term straight into the sum of the word it
+belongs to, one first letter at a time (the coderivation sweep assembles
+its other defects from the one-letter parts found there, see
+``_sweep_one``).  The ``linfty`` sweep evaluates the sorted images of the
+``_splices`` of the symmetrized tables (``linfty.verify_linfty``).  Every
+other word is zero by construction, so each record still certifies all
 ``dim**n`` words; ``_to_record`` builds the records of all three.
 
 Both sweeps run on Python ints.  Each check scales every table coefficient
@@ -27,12 +29,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
-from .engine import AStructure, Tables, _d_squared_raw, _stasheff_vec
+from .engine import AStructure, Tables
 from .errors import InputError
 from .graded import GradedSpace, Vector, Word
 from .report import CheckRecord, Failure, Report
+from .signs import _alpha_parity, _pass_parity
 
 # a failure as raw data: (input word, [(defect word, coefficient), ...])
 RawFailure = tuple[Word, list[tuple[Word, Fraction]]]
@@ -43,15 +46,13 @@ def active_backend() -> str:
     return "pure"
 
 
-def _splices(tables: Tables, n: int) -> tuple[int, Iterator[Word]]:
-    """The words u[:lam] + v + u[lam+1:] of arity n, lazily, and their count.
+def _splices(tables: Tables, n: int) -> Iterator[Word]:
+    """The words u[:lam] + v + u[lam+1:] of arity n, lazily.
 
     u is an entry of the table of arity n - k + 1 and v one of arity k whose
-    output contains u[lam].  The (u, lam, v) triples are counted up front;
-    a word is yielded once per triple that builds it.
+    output contains u[lam]; a word is yielded once per (u, lam, v) triple
+    that builds it.
     """
-    pairs = []
-    triples = 0
     for k in range(1, n + 1):
         inner, outer = tables.get(k), tables.get(n - k + 1)
         if not inner or not outer:
@@ -61,37 +62,80 @@ def _splices(tables: Tables, n: int) -> tuple[int, Iterator[Word]]:
             for b in vec:
                 by_letter.setdefault(b, []).append(v)
         for u in outer:
-            for letter in u:
-                triples += len(by_letter.get(letter, ()))
-        pairs.append((outer, by_letter))
-    words = (
-        u[:lam] + v + u[lam + 1 :]
-        for outer, by_letter in pairs
-        for u in outer
-        for lam, letter in enumerate(u)
-        for v in by_letter.get(letter, ())
-    )
-    return triples, words
+            for lam, letter in enumerate(u):
+                for v in by_letter.get(letter, ()):
+                    yield u[:lam] + v + u[lam + 1 :]
 
 
-def _direct_candidates(tables: Tables, space: GradedSpace, n: int) -> Iterable[Word]:
-    """The arity-n words at which the direct identity can be nonzero.
+def _top_sums(
+    tables: Tables, degrees: tuple[int, ...], n: int, rule: Callable[..., int]
+) -> Iterator[tuple[Word, dict[int, int]]]:
+    """The nonzero top sums at the arity-n words, one first letter at a time.
 
-    A term of the identity at a word x pairs an inner entry v = x[lam:lam+k]
-    of m_k with an outer entry u = x[:lam] + (b,) + x[lam+k:] of m_{n-k+1},
-    where b is a letter of v's output, so x is a splice of u and v.  At any
-    other word every term meets an absent table entry.  On primed tables
-    these are the words where the one-letter part of D(D(x)) can be
-    nonzero, so both A-infinity sweeps evaluate exactly these words.
+    The top sum at x is sum +- m_{n-k+1}(x[:lam] + m_k(x[lam:lam+k]) + x[lam+k:]).
+    Each of its terms is one (u, lam, v) triple: u an entry of m_{n-k+1},
+    v one of m_k whose output holds b = u[lam], and x = u[:lam] + v + u[lam+1:].
+    The walk adds +-c_v[b] * m(u) straight into x's sum, so only the
+    triples are visited; every other word's sum is empty.
+    ``rule(k, lam, n, degree sum of x[:lam])`` is the parity of the sign:
+    ``_alpha_parity`` gives the direct identity on unprimed tables and
+    ``_pass_parity`` the one-letter part of D(D(x)) on primed tables.
 
-    When the triples number at least dim**n (dense tables), building the
-    set would take at least as many steps as iterating every word, so all
-    words are iterated lazily instead; the extra words are zero.
+    x starts with v[0] when lam = 0 and with u[0] otherwise, so the triples
+    are walked one first letter at a time: each block's sums are yielded
+    and dropped before the next, and at most dim**(n-1) words are held.
     """
-    triples, splices = _splices(tables, n)
-    if triples >= space.dim**n:
-        return space.basis_words(n)
-    return set(splices)
+    levels = []
+    for k in range(1, n + 1):
+        inner, outer = tables.get(k), tables.get(n - k + 1)
+        if not inner or not outer:
+            continue
+        # (v, c_v[b]) by output letter b, and (v, b, c_v[b]) by v[0]
+        by_output: dict[int, list[tuple[Word, int]]] = {}
+        inner_by_first: dict[int, list[tuple[Word, int, int]]] = {}
+        for v, vec in inner.items():
+            for b, c in vec.items():
+                by_output.setdefault(b, []).append((v, c))
+                inner_by_first.setdefault(v[0], []).append((v, b, c))
+        outer_by_first: dict[int, list[tuple[Word, Vector]]] = {}
+        for u, vec in outer.items():
+            outer_by_first.setdefault(u[0], []).append((u, vec))
+        levels.append((k, by_output, inner_by_first, outer_by_first))
+    firsts = sorted({a for level in levels for a in (*level[2], *level[3])})
+    for a in firsts:
+        block: dict[Word, dict[int, int]] = {}
+        for k, by_output, inner_by_first, outer_by_first in levels:
+            # lam = 0: x = v + u[1:]
+            negate = rule(k, 0, n, 0)
+            for v, b, c in inner_by_first.get(a, ()):
+                if negate:
+                    c = -c
+                for u, uvec in outer_by_first.get(b, ()):
+                    x = v + u[1:]
+                    acc = block.get(x)
+                    if acc is None:
+                        acc = block[x] = {}
+                    for b2, c2 in uvec.items():
+                        acc[b2] = acc.get(b2, 0) + c * c2
+            # lam >= 1: x = u[:lam] + v + u[lam+1:], prefix degree sum s
+            for u, uvec in outer_by_first.get(a, ()):
+                s = degrees[a]
+                for lam in range(1, len(u)):
+                    negate = rule(k, lam, n, s)
+                    pre, suf = u[:lam], u[lam + 1 :]
+                    for v, c in by_output.get(u[lam], ()):
+                        if negate:
+                            c = -c
+                        x = pre + v + suf
+                        acc = block.get(x)
+                        if acc is None:
+                            acc = block[x] = {}
+                        for b2, c2 in uvec.items():
+                            acc[b2] = acc.get(b2, 0) + c * c2
+                    s += degrees[u[lam]]
+        for x, acc in block.items():
+            if top := {b: c for b, c in acc.items() if c}:
+                yield x, top
 
 
 def _scaled_tables(structure: AStructure, max_arity: int) -> tuple[Tables, int]:
@@ -124,15 +168,17 @@ def _sweep_one(
 ) -> list[RawFailure]:
     """Sweep one (check, arity) cell and return its nonzero defects.
 
-    Both checks evaluate their core only at the ``_direct_candidates``.
-    D(D(.)) is again a coderivation, of even degree, so at a word
-    P + x + S it is the sum over the windows x of P + R(x) + S, with no
-    sign, where R(x) is the one-letter part of D(D(x)), nonzero only at a
-    candidate.  So the coderivation check adds each nonzero R(x) of this
-    arity to ``windows``, the bad windows of one check's lower arities,
-    and assembles every defect from the placements of all of them.  Any
-    other ``check`` runs the direct one, which adds no window; each check
-    of ``verify_structure`` starts from an empty ``windows``.
+    Both checks take the ``_top_sums`` of the arity: the direct check with
+    alpha signs on the unprimed tables, whose nonzero sums are its defects,
+    and the coderivation check with pass signs on the primed tables, whose
+    nonzero sums are the one-letter parts R(x) of D(D(x)).  D(D(.)) is again
+    a coderivation, of even degree, so at a word P + x + S it is the sum
+    over the windows x of P + R(x) + S, with no sign.  So the coderivation
+    check adds each nonzero R(x) of this arity to ``windows``, the bad
+    windows of one check's lower arities, and assembles every defect from
+    the placements of all of them.  Any other ``check`` runs the direct
+    one, which adds no window; each check of ``verify_structure`` starts
+    from an empty ``windows``.
 
     ``tables`` are the integer tables of ``_scaled_tables`` with their
     ``scale``; tables above ``arity`` are ignored.  The defects of the
@@ -140,13 +186,11 @@ def _sweep_one(
     """
     degrees = structure.space.degrees
     defects: dict[Word, dict[Word, int]] = {}
-    for word in _direct_candidates(tables, structure.space, arity):
-        if check == "coderivation":
-            d2 = _d_squared_raw(tables, degrees, word)
-            if top := {w[0]: c for w, c in d2.items() if len(w) == 1}:
-                windows[word] = top
-        elif vec := _stasheff_vec(tables, degrees, word):
-            defects[word] = {(b,): c for b, c in vec.items()}
+    if check == "coderivation":
+        windows.update(_top_sums(tables, degrees, arity, _pass_parity))
+    else:
+        for x, top in _top_sums(tables, degrees, arity, _alpha_parity):
+            defects[x] = {(b,): c for b, c in top.items()}
     letters = range(structure.space.dim)
     for x, top in windows.items():
         pad = arity - len(x)
@@ -184,11 +228,11 @@ def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Repor
     """Check all basis words of arity 1..max_arity.
 
     ``mode`` selects the direct identity, the coderivation square, or both.
-    Both checks evaluate only the words built from an outer and an inner
-    table entry; the coderivation check sums the other words' squares from
-    the one-letter terms found there.  At every other word each term is
-    zero, so all words are still certified.  The report ordering is
-    deterministic.
+    Both checks sum only the terms built from an outer and an inner table
+    entry, into the words those build; the coderivation check sums the
+    other words' squares from the one-letter sums found there.  At every
+    other word each term is zero, so all words are still certified.  The
+    report ordering is deterministic.
     """
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")

@@ -12,9 +12,10 @@ defining identities are implemented side by side:
 
 The per-word functions here are the reference oracle and compute in
 ``Fraction``.  This module runs no sweep: ``_backend.verify_structure``
-runs their raw cores on tables scaled to integers, over only the words the
-table supports can reach, and sums every other coderivation defect from
-the one-letter parts of D(D(.)) found there.
+sums the same terms on tables scaled to integers, by walking the pairs of
+table entries that build them (Lemma 2's top sum of D(D(.)) for the
+coderivation check), and sums every other coderivation defect from the
+one-letter parts found there.
 """
 
 from __future__ import annotations
@@ -313,9 +314,8 @@ def _d_squared_raw(
 ) -> dict[Word, Fraction]:
     """D(D(word)) on one unchecked word, as a pruned raw word -> coeff dict.
 
-    The coefficients have the type of the table coefficients: ``Fraction``
-    from ``d_squared``, ``int`` from the scaled tables of the sweep.  The
-    seed coefficient is the int 1, which keeps int tables in ints.
+    The coefficients have the type of the table coefficients; the seed
+    coefficient is the int 1, which keeps int tables in ints.
     """
     first: dict[Word, Fraction] = {}
     _coderivation_terms(tables, degrees, w, 1, first)

@@ -17,7 +17,9 @@ Sections must appear in this order: the header line, the convention line,
 one or more basis lines, then any number of map lines.  Coefficients are
 integers or ``p/q`` rationals; every integer (coefficient part, degree or
 arity) is ASCII ``[+-]?[0-9]+``.  A basis name holds no whitespace, ``#``,
-``+`` or ``->``, which the map lines use as separators.  A file declaring
+``+`` or ``->``, which the map lines use as separators, and no ``,``,
+which separates the letters of a word on the command line and in text
+reports.  A file declaring
 ``convention chain`` has its degrees negated on the way in (and back on
 the way out), so the engine always runs one internal convention.
 """
@@ -50,8 +52,8 @@ def _int(token: str) -> int:
 
 def _name_error(name: str) -> str | None:
     """Why a basis name cannot be written on a map line, or None if it can."""
-    if any(ch.isspace() or ch in "#+" for ch in name) or "->" in name:
-        return f"basis name {name!r} contains whitespace, '#', '+' or '->'"
+    if any(ch.isspace() or ch in "#+," for ch in name) or "->" in name:
+        return f"basis name {name!r} contains whitespace, '#', '+', ',' or '->'"
     return None
 
 

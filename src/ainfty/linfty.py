@@ -199,9 +199,9 @@ def verify_linfty(s: AStructure, max_arity: int) -> Report:
     (b,) + rest, b a letter of the inner value.  Both supports are unions
     of orbits, so y's letters are M(v) + M(u) - {b} for sorted entries v
     and u: the sorted image of their ``_backend._splices``.  That set is
-    bounded by the C(dim+n-1, n) letter multisets, so it is never replaced
-    by all words.  The sweep evaluates ``linfty_defect`` once per sorted
-    representative, and on every rearrangement of one that fails; every
+    bounded by the C(dim+n-1, n) letter multisets of the arity.  The sweep
+    evaluates ``linfty_defect`` once per sorted representative, and on
+    every rearrangement of one that fails; every
     other word is zero by construction.  Each record still certifies all
     dim**n words and is reported like the structure checks, under the
     check name ``linfty``.
@@ -220,7 +220,7 @@ def verify_linfty(s: AStructure, max_arity: int) -> Report:
     }
     records = []
     for arity in range(1, max_arity + 1):
-        _, splices = _backend._splices(sorted_tables, arity)
+        splices = _backend._splices(sorted_tables, arity)
         failures = []
         for rep in {tuple(sorted(w)) for w in splices}:
             # rep comes first; the orbit is zero or nonzero as a whole

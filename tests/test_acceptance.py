@@ -247,23 +247,23 @@ def test_criterion_9_direct_sweep_to_arity_20(capsys):
         _verdict(9, "direct identity vanishes through arity 20", ok)
 
 
-def test_criterion_10_coderivation_sweep_to_arity_12(capsys):
+def test_criterion_10_coderivation_sweep_to_arity_20(capsys):
     ok = False
     try:
         code = run_cli(
             ["verify", "--builtin", "paper-example", "--check", "coderivation",
-             "--max-arity", "12", "--format", "machine"]
+             "--max-arity", "20", "--format", "machine"]
         )
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["pass"] is True
-        assert [rec["arity"] for rec in doc["checks"]] == list(range(1, 13))
+        assert [rec["arity"] for rec in doc["checks"]] == list(range(1, 21))
         for rec in doc["checks"]:
             assert rec["words"] == 3 ** rec["arity"]
             assert rec["failures"] == []
         ok = True
     finally:
-        _verdict(10, "coderivation square vanishes through arity 12", ok)
+        _verdict(10, "coderivation square vanishes through arity 20", ok)
 
 
 def test_criterion_11_linfty_sweep_to_arity_12(capsys):

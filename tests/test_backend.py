@@ -1,9 +1,8 @@
 """The sweeps against the literal per-word oracle, and exactness."""
 
-from collections import Counter
+import itertools
+import tracemalloc
 from fractions import Fraction
-from itertools import islice
-from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,8 +25,9 @@ from ainfty import (
     verify_structure,
 )
 import ainfty._backend as backend
-from ainfty._backend import _direct_candidates
-from conftest import random_structures
+import ainfty.engine as engine
+from ainfty.signs import _alpha_parity, _pass_parity
+from conftest import nonzero_coefficients, random_structures
 from test_engine import mutated_structure
 
 
@@ -151,26 +151,24 @@ def test_wide_denominators_stay_exact():
     assert failure.defect == ((Fraction(1, P) - 1 + Fraction(1, Q), ("x1",)),)
 
 
-def test_sweep_cores_return_ints(monkeypatch):
-    """Inside the sweeps the cores see int tables and return only ints.
+def test_top_sums_yield_only_ints(monkeypatch):
+    """Inside the sweeps the top sums walk int tables and yield only ints.
 
-    A stray Fraction seed or table would bring Fraction arithmetic back
-    into the hot loop without changing any report; this catches it.
+    A stray Fraction table would bring Fraction arithmetic back into the
+    hot loop without changing any report; this catches it.
     """
-    returned: dict[str, list] = {}
-    for name in ("_stasheff_vec", "_d_squared_raw"):
-        core, values = getattr(backend, name), returned.setdefault(name, [])
+    values = []
+    top_sums = backend._top_sums
 
-        def recording(*args, core=core, values=values):
-            out = core(*args)
-            values.extend(out.values())
-            return out
+    def recording(*args):
+        for x, top in top_sums(*args):
+            values.extend(top.values())
+            yield x, top
 
-        monkeypatch.setattr(backend, name, recording)
+    monkeypatch.setattr(backend, "_top_sums", recording)
     s = wide_denominator_structure()
     assert not verify_structure(s, 3).passed
-    for values in returned.values():
-        assert values and all(type(c) is int for c in values)
+    assert values and all(type(c) is int for c in values)
     # the per-word oracles still compute in Fraction
     primed = s.primed_version()
     word = (1, 1, 2)
@@ -183,14 +181,6 @@ def test_sweep_cores_return_ints(monkeypatch):
     assert oracle_values and all(type(c) is Fraction for c in oracle_values)
 
 
-def candidate_words(s: AStructure, n: int) -> set:
-    """The direct sweep's distinct words, reading at most 1000 of them.
-
-    A fallback to all words at high arity then fails a count, not hangs.
-    """
-    return set(islice(_direct_candidates(s.tables_up_to(n), s.space, n), 1000))
-
-
 @settings(max_examples=75, deadline=None)
 @given(st.data())
 def test_direct_sweep_matches_oracle_on_sparse_structures(data):
@@ -199,28 +189,124 @@ def test_direct_sweep_matches_oracle_on_sparse_structures(data):
             max_arity=4, min_dim=4, max_dim=5, min_degree=-1, max_degree=1
         )
     )
-    space = s.space
     report = verify_structure(s, 4, mode="direct")
     assert report == oracle_report(s, 4, checks=("direct",))
-    # at most 4 entries per table give fewer (u, lam, v) triples than the
-    # dim**4 >= 256 words, so arity 4 enumerates candidates, not all words
-    assert len(candidate_words(s, 4)) < space.dim**4
 
 
-def test_dense_tables_iterate_all_words_lazily():
-    path = Path(__file__).parent / "corpus" / "z12.astr"
-    s = parse_structure(path.read_text(encoding="utf-8"), name="z12")
-    # the direct sweep reads the unprimed tables, the coderivation sweep the primed
-    for t in (s, s.primed_version()):
-        words = _direct_candidates(t.tables_up_to(3), t.space, 3)
-        assert iter(words) is words  # an iterator, not a materialized collection
-        assert len(set(words)) == 12**3
+@st.composite
+def dense_structures(draw, max_dim: int = 4):
+    """Full tables of arity 1..3 with up to three outputs per entry.
+
+    Letters 0 and 1 have degree 0, the others 0 or 1.  Every word whose
+    degree allows an output has an entry, so on the degree-0 letters alone
+    m_2(m_2(.)) builds at least 2 * dim**3 (u, lam, v) triples at arity 3.
+    """
+    dim = draw(st.integers(min_value=2, max_value=max_dim))
+    rest = st.lists(st.sampled_from([0, 1]), min_size=dim - 2, max_size=dim - 2)
+    degrees = [0, 0] + draw(rest)
+    space = GradedSpace(tuple(BasisElement(f"e{i}", d) for i, d in enumerate(degrees)))
+    maps = {}
+    for k in (1, 2, 3):
+        table = {}
+        for w in itertools.product(range(dim), repeat=k):
+            target = sum(degrees[i] for i in w) + 2 - k
+            allowed = [b for b in range(dim) if degrees[b] == target]
+            if allowed:
+                outputs = draw(st.sets(st.sampled_from(allowed), min_size=1, max_size=3))
+                table[w] = {b: draw(nonzero_coefficients) for b in sorted(outputs)}
+        if table:
+            maps[k] = MultiMap(space, k, table)
+    return AStructure(space, maps=maps, name="dense")
 
 
-def test_direct_candidate_counts_on_the_example():
-    """Polynomial work: a fallback to all 3**n words fails here."""
+@settings(max_examples=60, deadline=None)
+@given(dense_structures())
+def test_sweep_matches_oracle_on_dense_tables(s):
+    """Triples far outnumber the words: each word's sum gathers many terms."""
+    triples = sum(1 for _ in backend._splices(s.tables_up_to(3), 3))
+    assert triples >= 2 * s.space.dim**3
+    assert_sweep_matches_oracle(s, 3)
+
+
+def z32_broken() -> AStructure:
+    """Z/32 addition as a full m_2 table, with four entries halved."""
+    n = 32
+    space = GradedSpace(tuple(BasisElement(f"g{i}", 0) for i in range(n)))
+    table = {(a, b): {(a + b) % n: Fraction(1)} for a in range(n) for b in range(n)}
+    for a, b in [(1, 2), (5, 7), (9, 30), (20, 20)]:
+        table[(a, b)] = {(a + b) % n: Fraction(1, 2)}
+    return AStructure(space, maps={2: MultiMap(space, 2, table)}, name="z32")
+
+
+def test_top_sums_hold_one_first_letter_at_a_time():
+    """The sums are accumulated one block of dim**(n-1) words at a time.
+
+    Accumulating all 32**3 words at once peaks at about 12 MB traced here;
+    one first letter at a time, about 1.5 MB.
+    """
+    s = z32_broken()
+    tracemalloc.start()
+    try:
+        report = verify_structure(s, 3, "both")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(rec.failures) for rec in report.checks] == [0, 0, 485] * 2
+    assert peak < 4_000_000, f"peak traced memory {peak} bytes"
+
+
+def triples_walked(s: AStructure, n: int, rule) -> int:
+    """The (u, lam, v) triples ``_top_sums`` walks at arity n.
+
+    Each triple reads its outer entry's output once, and indexing reads
+    each inner entry's output once; the reads beyond that are the triples.
+    A walk that reads far more than the triples fails at 20,000 reads.
+    """
+    tables, _ = backend._scaled_tables(s, n)
+    reads = 0
+
+    class Counted(dict):
+        def items(self):
+            nonlocal reads
+            reads += 1
+            assert reads <= 20_000, "the walk reads too many table entries"
+            return super().items()
+
+    counted = {k: {w: Counted(vec) for w, vec in t.items()} for k, t in tables.items()}
+    list(backend._top_sums(counted, s.space.degrees, n, rule))
+    indexing = sum(len(counted[k]) for k in counted if k <= n and n - k + 1 in counted)
+    triples = reads - indexing
+    assert triples == sum(1 for _ in backend._splices(tables, n))
+    return triples
+
+
+def test_triples_walked_on_the_example():
+    """Polynomial work: 6,040 triples at arity 20, against 3**20 words."""
     s = example_structure()
-    assert [len(candidate_words(s, n)) for n in (3, 9, 20)] == [8, 107, 569]
+    for t, rule in ((s, _alpha_parity), (s.primed_version(), _pass_parity)):
+        assert [triples_walked(t, n, rule) for n in (7, 12, 20)] == [294, 1384, 6040]
+
+
+def test_sweeps_never_evaluate_a_word(monkeypatch):
+    """The per-word cores serve only the literal oracles, not the sweeps."""
+    calls = []
+    for name in ("_stasheff_vec", "_d_squared_raw"):
+        core = getattr(engine, name)
+
+        def counting(*args, core=core, name=name):
+            calls.append(name)
+            return core(*args)
+
+        monkeypatch.setattr(engine, name, counting)
+    assert verify_structure(example_structure(), 8).passed
+    assert not verify_structure(mutated_structure(), 6).passed
+    assert not verify_structure(wide_denominator_structure(), 3).passed
+    assert calls == []
+    # the counters do see the oracles
+    s = mutated_structure()
+    stasheff_defect(s, (0, 1))
+    d_squared(s.primed_version(), (0, 1))
+    assert calls == ["_stasheff_vec", "_d_squared_raw"]
 
 
 @settings(max_examples=80, deadline=None)
@@ -279,51 +365,3 @@ def test_coderivation_windows_of_two_arities_add_into_one_defect():
     assert report == oracle_report(s, 5, checks=("coderivation",))
     failure = next(f for f in report.checks[2].failures if f.word == ("a", "a", "a"))
     assert len(failure.defect) == len(defect)
-
-
-def test_coderivation_words_visited_on_the_example(monkeypatch):
-    """Polynomial work: a fallback to all 3**n words fails after 1000 reads."""
-    visited = []
-    d_squared_raw = backend._d_squared_raw
-
-    def counting(tables, degrees, word):
-        visited.append(word)
-        assert len(visited) <= 1000, "the sweep reads too many words"
-        return d_squared_raw(tables, degrees, word)
-
-    monkeypatch.setattr(backend, "_d_squared_raw", counting)
-    primed = example_structure().primed_version()
-    counts = []
-    for n in (7, 12):
-        visited.clear()
-        tables, scale = backend._scaled_tables(primed, n)
-        assert backend._sweep_one(primed, "coderivation", n, {}, tables, scale) == []
-        counts.append(len(visited))
-    assert counts == [62, 197]
-
-
-def test_words_visited_on_a_failing_structure(monkeypatch):
-    """Both sweeps evaluate their core only at the candidates, even failing.
-
-    The coderivation sweep assembles the defects of the words that contain a
-    bad window instead of evaluating D(D(.)) there; evaluating every such
-    word raises its visits to 2, 10, 37, 128, 455 (632 in all).
-    """
-    visits = {"direct": Counter(), "coderivation": Counter()}
-
-    def counting(check, core):
-        def wrapper(tables, degrees, word):
-            visits[check][len(word)] += 1
-            return core(tables, degrees, word)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        backend, "_stasheff_vec", counting("direct", backend._stasheff_vec)
-    )
-    monkeypatch.setattr(
-        backend, "_d_squared_raw", counting("coderivation", backend._d_squared_raw)
-    )
-    assert not verify_structure(mutated_structure(), 6).passed
-    assert [visits["direct"][n] for n in range(2, 7)] == [2, 8, 17, 27, 27]
-    assert [visits["coderivation"][n] for n in range(2, 7)] == [2, 8, 17, 27, 27]

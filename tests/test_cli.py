@@ -93,6 +93,26 @@ def test_verify_parse_error_exits_two(tmp_path, capsys):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-arity", "2"],
+        ["d2", "--word", "a,b"],
+        ["apply", "--arity", "1", "--word", "a"],
+    ],
+)
+def test_basis_name_with_a_comma_exits_two(argv, tmp_path, capsys):
+    """``--word a,b`` could not name such a letter, so the file is refused."""
+    bad = tmp_path / "comma.astr"
+    bad.write_text("ainfty v1\nconvention cochain\nbasis a 0\nbasis a,b 0\n")
+    code = run_cli(argv + ["--input", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 4" in captured.err
+    assert "','" in captured.err
+
+
 def test_verify_missing_file_exits_two(capsys):
     code = run_cli(["verify", "--input", "/no/such/file", "--max-arity", "2"])
     assert code == 2

@@ -180,7 +180,7 @@ def test_serialize_rejects_generator_backed():
 
 # each breaks the map line: '+' splits terms, '->' splits sides, '#' starts
 # a comment and whitespace splits names
-UNWRITABLE_NAMES = ["a+b", "->", "x->y", "a#b", "a b", "a\tb"]
+UNWRITABLE_NAMES = ["a+b", "->", "x->y", "a#b", "a b", "a\tb", "a,b"]
 
 
 @pytest.mark.parametrize("name", UNWRITABLE_NAMES)
@@ -200,7 +200,7 @@ def test_serialize_rejects_unwritable_basis_name(name):
 
 
 def test_basis_names_with_other_punctuation_round_trip():
-    names = ["a-b", "a>b", "-", ">", "a:b", "a,b", "a/b", "a*b"]
+    names = ["a-b", "a>b", "-", ">", "a:b", "a/b", "a*b"]
     space = GradedSpace(tuple(BasisElement(nm, 0) for nm in names))
     table = {(i, i): {(i + 1) % len(names): Fraction(i + 1, 3)} for i in range(len(names))}
     s = AStructure(space, maps={2: MultiMap(space, 2, table)})

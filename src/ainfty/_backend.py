@@ -10,18 +10,20 @@ what the supports of the maps can reach.  Both A-infinity sweeps walk the
 ``_top_sums``, adding each term straight into the sum of the word it
 belongs to, one first letter at a time (the coderivation sweep assembles
 its other defects from the one-letter parts found there, see
-``_sweep_one``).  The ``linfty`` sweep evaluates the sorted images of the
-``_splices`` of the symmetrized tables (``linfty.verify_linfty``).  Every
-other word is zero by construction, so each record still certifies all
-``dim**n`` words; ``_to_record`` builds the records of all three.
+``_sweep_one``).  The ``linfty`` sweep symmetrizes the pass-signed top
+sums of the primed tables (``linfty.verify_linfty``).  Every other word is
+zero by construction, so each record still certifies all ``dim**n`` words;
+``_to_record`` builds the records of all three.
 
-Both sweeps run on Python ints.  Each check scales every table coefficient
-by ``scale``, the lcm of all their denominators (``_scaled_tables``).
-Every term of the direct identity and of D(D(word)) is a product of exactly
-two coefficients, so a scaled defect is exactly ``scale**2`` times the true
-one and is zero exactly when it is.  Only the defects of failing words are
-divided back into ``Fraction``s, which reduce to lowest terms, so the
-records are the ones the ``Fraction`` oracle builds.
+All three sweeps run on Python ints.  Each check scales every table
+coefficient by ``scale``, the lcm of all their denominators
+(``_scaled_tables``).  Every term of the direct identity and of D(D(word))
+is a product of exactly two coefficients, and symmetrization only adds
+such terms with integer weights, so a scaled defect is exactly
+``scale**2`` times the true one and is zero exactly when it is.  Only the
+defects of failing words are divided back into ``Fraction``s, which reduce
+to lowest terms, so the records are the ones the ``Fraction`` oracle
+builds.
 """
 
 from __future__ import annotations
@@ -44,27 +46,6 @@ RawFailure = tuple[Word, list[tuple[Word, Fraction]]]
 def active_backend() -> str:
     """The sweep implementation in use; there is only the pure one."""
     return "pure"
-
-
-def _splices(tables: Tables, n: int) -> Iterator[Word]:
-    """The words u[:lam] + v + u[lam+1:] of arity n, lazily.
-
-    u is an entry of the table of arity n - k + 1 and v one of arity k whose
-    output contains u[lam]; a word is yielded once per (u, lam, v) triple
-    that builds it.
-    """
-    for k in range(1, n + 1):
-        inner, outer = tables.get(k), tables.get(n - k + 1)
-        if not inner or not outer:
-            continue
-        by_letter: dict[int, list[Word]] = {}
-        for v, vec in inner.items():
-            for b in vec:
-                by_letter.setdefault(b, []).append(v)
-        for u in outer:
-            for lam, letter in enumerate(u):
-                for v in by_letter.get(letter, ()):
-                    yield u[:lam] + v + u[lam + 1 :]
 
 
 def _top_sums(

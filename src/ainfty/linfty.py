@@ -3,12 +3,12 @@
 Everything here happens on the desuspended side, where the transferred maps
 have degree 1 and symmetrization uses plain Koszul signs: the symmetrized
 map is the sum of the original over all signed permutations of its inputs,
-computed once per distinct rearrangement of each table entry.  The
-generalized Jacobi identity is then checked in unshuffle form, summing
-l_j(l_i(block) tensor rest) over all (i, n-i)-unshuffles with i + j = n + 1.
-The sweep evaluates it only on the orbits of rearrangements that the
-supports of the maps can reach (sorted images of ``_backend._splices``),
-one word per orbit unless that word fails.
+computed once per distinct rearrangement of each table entry
+(``_symmetrize``).  ``linfty_defect`` checks the generalized Jacobi
+identity on one word in unshuffle form, summing l_j(l_i(block) tensor
+rest) over all (i, n-i)-unshuffles with i + j = n + 1; it is the literal
+oracle.  The sweep instead symmetrizes the one-letter parts of D(D(x))
+that the A-infinity top sums of the primed maps give (``verify_linfty``).
 Its nonzero defects become report records through the same
 ``_backend._to_record`` as the structure checks.  Un-priming the
 symmetrized family back to the unshifted space is deliberately not
@@ -21,14 +21,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import _backend
 from .engine import AStructure, MultiMap
 from .errors import InputError
 from .graded import GradedSpace, TensorPoly, Vector, Word
 from .report import Report
-from .signs import koszul_permutation_sign, pass_operator_sign
+from .signs import _pass_parity, koszul_permutation_sign, pass_operator_sign
 
 
 @dataclass(frozen=True)
@@ -93,25 +93,22 @@ def _rearrangements(w: Word) -> Iterable[Word]:
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
-def symmetrize_prime(mp: MultiMap) -> SymMultiMap:
-    """Sum a transferred map over all Koszul-signed permutations of its inputs.
+def _symmetrize(table: Mapping[Word, Vector], ddegs: Sequence[int]) -> dict[Word, Vector]:
+    """Sum a map over all Koszul-signed permutations of its inputs.
 
     l(y) is the sum over permutations sigma of sign(sigma, y) * m(sigma . y),
-    where letter i of y moves to position sigma[i].  A term is nonzero only
-    when sigma . y is a table entry w, so the sum runs over table entries
-    and their distinct rearrangements y.  The permutations taking y to w
-    differ by swaps of equal letters; such a swap costs the square of the
-    letter's degree.  So an entry that repeats a letter of odd degree
-    cancels, and otherwise each y gets the stabilizer size (the product of
-    the letter multiplicities' factorials) times one Koszul sign.
+    where letter i of y moves to position sigma[i] and ``ddegs`` are the
+    desuspended letter degrees.  A term is nonzero only when sigma . y is a
+    table entry w, so the sum runs over table entries and their distinct
+    rearrangements y.  The permutations taking y to w differ by swaps of
+    equal letters; such a swap costs the square of the letter's degree.  So
+    an entry that repeats a letter of odd degree cancels, and otherwise
+    each y gets the stabilizer size (the product of the letter
+    multiplicities' factorials) times one Koszul sign.  Coefficients may be
+    ints or ``Fraction``s; the nonzero values are returned.
     """
-    if not mp.primed:
-        raise InputError("symmetrization is defined for primed maps")
-    space = mp.space
-    n = mp.arity
-    ddegs = [d - 1 for d in space.degrees]
-    table: dict[Word, Vector] = {}
-    for w, vec in mp.table.items():
+    out: dict[Word, Vector] = {}
+    for w, vec in table.items():
         odd = [b for b in w if ddegs[b] % 2]
         if len(odd) != len(set(odd)):
             continue
@@ -124,11 +121,22 @@ def symmetrize_prime(mp: MultiMap) -> SymMultiMap:
             taken = {b: iter(ps) for b, ps in slots.items()}
             sigma = [next(taken[b]) for b in y]
             sign = stabilizer * koszul_permutation_sign([ddegs[b] for b in y], sigma)
-            acc = table.setdefault(y, {})
+            acc = out.setdefault(y, {})
             for b, c in vec.items():
-                acc[b] = acc.get(b, Fraction(0)) + sign * c
-    pruned = {y: {b: c for b, c in acc.items() if c} for y, acc in table.items()}
-    return SymMultiMap(space, n, {y: acc for y, acc in pruned.items() if acc})
+                acc[b] = acc.get(b, 0) + sign * c
+    pruned = {y: {b: c for b, c in acc.items() if c} for y, acc in out.items()}
+    return {y: acc for y, acc in pruned.items() if acc}
+
+
+def symmetrize_prime(mp: MultiMap) -> SymMultiMap:
+    """Sum a transferred map over all Koszul-signed permutations of its inputs.
+
+    See ``_symmetrize``; the result is certified graded-symmetric.
+    """
+    if not mp.primed:
+        raise InputError("symmetrization is defined for primed maps")
+    ddegs = [d - 1 for d in mp.space.degrees]
+    return SymMultiMap(mp.space, mp.arity, _symmetrize(mp.table, ddegs))
 
 
 def unshuffles(i: int, r: int) -> list[tuple[int, ...]]:
@@ -192,43 +200,30 @@ def linfty_defect(family: Iterable[SymMultiMap], y: Word) -> TensorPoly:
 def verify_linfty(s: AStructure, max_arity: int) -> Report:
     """Symmetrize the transferred maps and sweep the Jacobi relation.
 
-    The Jacobi expression of a graded-symmetric family is itself
-    graded-symmetric (Lada-Markl), so J(sigma . y) = sign * J(y) and an
-    orbit of rearrangements fails exactly when any one of its words does.
-    A term at y applies l_i to a block of y and l_j (i + j = n + 1) to
-    (b,) + rest, b a letter of the inner value.  Both supports are unions
-    of orbits, so y's letters are M(v) + M(u) - {b} for sorted entries v
-    and u: the sorted image of their ``_backend._splices``.  That set is
-    bounded by the C(dim+n-1, n) letter multisets of the arity.  The sweep
-    evaluates ``linfty_defect`` once per sorted representative, and on
-    every rearrangement of one that fails; every
-    other word is zero by construction.  Each record still certifies all
-    dim**n words and is reported like the structure checks, under the
-    check name ``linfty``.
+    Symmetrization carries the Gerstenhaber bracket to the
+    Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi defect of
+    l = Sym(m') is Sym(R), where R(x) is the one-letter part of D(D(x)) on
+    the primed maps m': J(y) = sum over sigma of sign(sigma, y) * R(sigma . y).
+    The sweep takes R from the pass-signed ``_backend._top_sums`` of the
+    primed tables, scaled to ints, symmetrizes its nonzero values and divides
+    them back by ``scale**2``.  Every other word's R, and so its J, is zero,
+    so each record still certifies all dim**n words and is reported like the
+    structure checks, under the check name ``linfty``.
     """
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
-    primed = s.primed_version()
+    primed = s.snapshot(max_arity).primed_version()
     space = s.space
-    maps = [
-        symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(max_arity)
-    ]
-    # one entry per orbit: its sorted representative
-    sorted_tables = {
-        m.arity: {w: vec for w, vec in m.table.items() if list(w) == sorted(w)}
-        for m in maps
-    }
+    tables, scale = _backend._scaled_tables(primed, max_arity)
+    ddegs = [d - 1 for d in space.degrees]
+    denominator = scale * scale
     records = []
     for arity in range(1, max_arity + 1):
-        splices = _backend._splices(sorted_tables, arity)
-        failures = []
-        for rep in {tuple(sorted(w)) for w in splices}:
-            # rep comes first; the orbit is zero or nonzero as a whole
-            for word in _rearrangements(rep):
-                defect = linfty_defect(maps, word)
-                if defect.is_zero():
-                    break
-                failures.append((word, list(defect.terms.items())))
+        windows = dict(_backend._top_sums(tables, space.degrees, arity, _pass_parity))
+        failures = [
+            (y, [((b,), Fraction(c, denominator)) for b, c in vec.items()])
+            for y, vec in _symmetrize(windows, ddegs).items()
+        ]
         records.append(_backend._to_record(space, "linfty", arity, failures))
     return Report(
         structure=s.name,

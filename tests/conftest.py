@@ -4,9 +4,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 from ainfty import AStructure, BasisElement, GradedSpace, MultiMap
+
+# A failing property stops at its first counterexample and prints it
+# unshrunk: shrinking the many failures of a broken sign can run for minutes.
+settings.register_profile("no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile("no-shrink")
 
 # small exact rationals, zero excluded where noted
 coefficients = st.fractions(

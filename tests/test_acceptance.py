@@ -266,21 +266,21 @@ def test_criterion_10_coderivation_sweep_to_arity_20(capsys):
         _verdict(10, "coderivation square vanishes through arity 20", ok)
 
 
-def test_criterion_11_linfty_sweep_to_arity_12(capsys):
+def test_criterion_11_linfty_sweep_to_arity_16(capsys):
     ok = False
     try:
         code = run_cli(
-            ["linfty", "--builtin", "paper-example", "--max-arity", "12",
+            ["linfty", "--builtin", "paper-example", "--max-arity", "16",
              "--format", "machine"]
         )
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["pass"] is True
-        assert [rec["arity"] for rec in doc["checks"]] == list(range(1, 13))
+        assert [rec["arity"] for rec in doc["checks"]] == list(range(1, 17))
         for rec in doc["checks"]:
             assert rec["check"] == "linfty"
             assert rec["words"] == 3 ** rec["arity"]
             assert rec["failures"] == []
         ok = True
     finally:
-        _verdict(11, "induced Jacobi relations hold through arity 12", ok)
+        _verdict(11, "induced Jacobi relations hold through arity 16", ok)

@@ -2,12 +2,10 @@
 
 import itertools
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import ainfty._backend as backend
 import ainfty.linfty as linfty
 from ainfty import (
     EXAMPLE_SPACE,
@@ -20,11 +18,11 @@ from ainfty import (
     MultiMap,
     Report,
     SymMultiMap,
+    d_squared,
     example_mprime,
     example_structure,
     koszul_permutation_sign,
     linfty_defect,
-    parse_structure,
     prime,
     symmetrize_prime,
     unshuffles,
@@ -421,7 +419,11 @@ def permute(y, sigma):
 @example(two_term_failure(), 2)
 @example(repeated_even_failure(), 2)
 def test_jacobi_defect_is_graded_symmetric(s, n):
-    """J(sigma . y) = sign(sigma, y) * J(y): the orbit sweep rests on this."""
+    """J(sigma . y) = sign(sigma, y) * J(y): the oracle is graded-symmetric.
+
+    Sym(R) is graded-symmetric by construction, so an oracle that is not
+    would disagree with the sweep of ``verify_linfty``.
+    """
     space = s.space
     primed = s.primed_version()
     family = [symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(4)]
@@ -433,58 +435,64 @@ def test_jacobi_defect_is_graded_symmetric(s, n):
             moved = permute(y, sigma)
             assert jac[moved] == {w: sign * c for w, c in value.items()}, (
                 f"Jacobi defect is not graded-symmetric: J{moved} != "
-                f"{sign:+d} * J{y}; the orbit sweep of verify_linfty would "
-                "miss or misreport failures"
+                f"{sign:+d} * J{y}; linfty_defect can no longer serve as "
+                "the oracle of verify_linfty"
             )
 
 
-def test_jacobi_words_evaluated_on_the_example(monkeypatch):
-    """One call per candidate orbit: an all-words sweep fails after 1000 calls."""
-    calls = []
-    defect = linfty.linfty_defect
+@settings(max_examples=60, deadline=None)
+@given(
+    random_structures(
+        max_arity=4, max_entries=9, min_dim=1, max_dim=3, min_degree=-1, max_degree=1
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+@example(mutated_structure(4), 3)
+@example(mutated_structure(4), 4)
+@example(two_term_failure(), 2)
+@example(repeated_even_failure(), 2)
+@example(repeated_even_failure(), 3)
+def test_jacobi_defect_is_symmetrized_top_sum(s, n):
+    """J = Sym(R) word by word (Lada-Markl), with no scalar factor.
 
-    def counting(family, y):
-        calls.append(y)
-        assert len(calls) <= 1000, "the sweep evaluates too many words"
-        return defect(family, y)
-
-    monkeypatch.setattr(linfty, "linfty_defect", counting)
-    counts = []
-    for n in (6, 12):
-        calls.clear()
-        assert verify_linfty(example_structure(), n).passed
-        counts.append(len(calls))
-    assert counts == [18, 42]
-
-
-def test_orbit_sweep_never_falls_back_to_all_words(monkeypatch):
-    """The orbit sweep evaluates only the multisets its splices reach.
-
-    At arity 2 the sorted entries of ``sparse-orbits.astr`` build 16 = 4**2
-    splices but only 7 of the 10 letter multisets, so a sweep that fell
-    back to all words once the splices reach dim**n would evaluate the
-    other 3 orbits too: 27 calls.
+    The sweep of ``verify_linfty`` rests on this: it reads each Jacobi
+    defect off the symmetrized one-letter parts of D(D(.)).
     """
-    path = Path(__file__).parent / "corpus" / "sparse-orbits.astr"
-    s = parse_structure(path.read_text(encoding="utf-8"), name="sparse-orbits")
     primed = s.primed_version()
-    sorted_tables = {}
-    for k in (1, 2):
-        table = symmetrize_prime(primed.map_at(k)).table
-        sorted_tables[k] = {w: v for w, v in table.items() if list(w) == sorted(w)}
-    splices = list(backend._splices(sorted_tables, 2))
-    assert len(splices) == s.space.dim**2
-    assert len({tuple(sorted(w)) for w in splices}) == 7
-    calls = []
-    defect = linfty.linfty_defect
+    family = [symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(n)]
+    # R(x): the one-letter part of D(D(x)), from the literal oracle
+    windows = {}
+    for x in s.space.basis_words(n):
+        if r := {w[0]: c for w, c in d_squared(primed, x).terms.items() if len(w) == 1}:
+            windows[x] = r
+    expected = linfty._symmetrize(windows, [d - 1 for d in s.space.degrees])
+    for y in s.space.basis_words(n):
+        got = linfty_defect(family, y).terms if family else {}
+        assert {w[0]: c for w, c in got.items()} == expected.get(y, {}), y
 
-    def counting(family, y):
-        calls.append(y)
-        return defect(family, y)
 
-    monkeypatch.setattr(linfty, "linfty_defect", counting)
-    assert not verify_linfty(s, 3).passed
-    assert len(calls) == 24
+def test_sweep_never_calls_the_oracle_on_the_example(monkeypatch):
+    """Through arity 12 the sweep symmetrizes top sums, none of them nonzero.
+
+    The example satisfies the identities, so D(D(.)) has no bad window to
+    symmetrize, and neither the per-word Jacobi oracle nor the symmetrized
+    tables are ever built.
+    """
+    def refuse(*args):
+        raise AssertionError("the sweep called the literal oracle")
+
+    monkeypatch.setattr(linfty, "linfty_defect", refuse)
+    monkeypatch.setattr(linfty, "symmetrize_prime", refuse)
+    windows = []
+    symmetrize = linfty._symmetrize
+
+    def counting(table, ddegs):
+        windows.append(len(table))
+        return symmetrize(table, ddegs)
+
+    monkeypatch.setattr(linfty, "_symmetrize", counting)
+    assert verify_linfty(example_structure(), 12).passed
+    assert windows == [0] * 12
 
 
 def test_verify_linfty_matches_oracle_on_dense_tables():

@@ -4,18 +4,17 @@ The per-word defect functions in ``engine`` are the reference
 implementation.  ``verify_structure`` owns the whole A-infinity run: it
 validates the request, snapshots the maps, sums the terms of each arity's
 identities, collects the nonzero defects, and turns them into report
-records in a deterministic order.  No sweep visits every word; each walks
-what the supports of the maps can reach.  Both A-infinity sweeps walk the
-(outer entry, position, inner entry) triples of the tables once, in
-``_top_sums``, adding each term straight into the sum of the word it
-belongs to, one first letter at a time (the coderivation sweep assembles
-its other defects from the one-letter parts found there, see
-``_sweep_one``).  The ``linfty`` sweep symmetrizes the pass-signed top
-sums of the primed tables (``linfty.verify_linfty``).  Every other word is
-zero by construction, so each record still certifies all ``dim**n`` words;
-``_to_record`` builds the records of all three.
+records in a deterministic order.  No sweep visits every word.  All three
+share one walk per arity, ``_top_sums``: it goes over the (outer entry,
+position, inner entry) triples of the unprimed tables and adds each signed
+term straight into the direct sum S(x) of the word it belongs to, one first
+letter at a time.  The direct check reports the nonzero S(x); the
+coderivation check places, and the ``linfty`` sweep symmetrizes, the
+one-letter parts R(x) = sigma(x) * S(x) of D(D(x)) (``_desuspended``).
+Every other word is zero by construction, so each record still certifies
+all ``dim**n`` words; ``_to_record`` builds the records of all three.
 
-All three sweeps run on Python ints.  Each check scales every table
+All three sweeps run on Python ints.  Each run scales every table
 coefficient by ``scale``, the lcm of all their denominators
 (``_scaled_tables``).  Every term of the direct identity and of D(D(word))
 is a product of exactly two coefficients, and symmetrization only adds
@@ -31,13 +30,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 from .engine import AStructure, Tables
 from .errors import InputError
 from .graded import GradedSpace, Vector, Word
 from .report import CheckRecord, Failure, Report
-from .signs import _alpha_parity, _pass_parity
+from .signs import _alpha_parity, _desusp_parity
 
 # a failure as raw data: (input word, [(defect word, coefficient), ...])
 RawFailure = tuple[Word, list[tuple[Word, Fraction]]]
@@ -49,18 +48,15 @@ def active_backend() -> str:
 
 
 def _top_sums(
-    tables: Tables, degrees: tuple[int, ...], n: int, rule: Callable[..., int]
+    tables: Tables, degrees: tuple[int, ...], n: int
 ) -> Iterator[tuple[Word, dict[int, int]]]:
-    """The nonzero top sums at the arity-n words, one first letter at a time.
+    """The nonzero direct sums S(x) at the arity-n words, by first letter.
 
-    The top sum at x is sum +- m_{n-k+1}(x[:lam] + m_k(x[lam:lam+k]) + x[lam+k:]).
+    S(x) = sum alpha * m_{n-k+1}(x[:lam] + m_k(x[lam:lam+k]) + x[lam+k:]).
     Each of its terms is one (u, lam, v) triple: u an entry of m_{n-k+1},
     v one of m_k whose output holds b = u[lam], and x = u[:lam] + v + u[lam+1:].
-    The walk adds +-c_v[b] * m(u) straight into x's sum, so only the
-    triples are visited; every other word's sum is empty.
-    ``rule(k, lam, n, degree sum of x[:lam])`` is the parity of the sign:
-    ``_alpha_parity`` gives the direct identity on unprimed tables and
-    ``_pass_parity`` the one-letter part of D(D(x)) on primed tables.
+    The walk adds +-c_v[b] * m(u) straight into x's sums, one per output
+    letter, so only the triples are visited; every other word's sum is empty.
 
     x starts with v[0] when lam = 0 and with u[0] otherwise, so the triples
     are walked one first letter at a time: each block's sums are yielded
@@ -84,39 +80,53 @@ def _top_sums(
         levels.append((k, by_output, inner_by_first, outer_by_first))
     firsts = sorted({a for level in levels for a in (*level[2], *level[3])})
     for a in firsts:
-        block: dict[Word, dict[int, int]] = {}
+        block: dict[tuple[Word, int], int] = {}
+        get = block.get
         for k, by_output, inner_by_first, outer_by_first in levels:
             # lam = 0: x = v + u[1:]
-            negate = rule(k, 0, n, 0)
+            negate = _alpha_parity(k, 0, n, 0)
             for v, b, c in inner_by_first.get(a, ()):
                 if negate:
                     c = -c
                 for u, uvec in outer_by_first.get(b, ()):
                     x = v + u[1:]
-                    acc = block.get(x)
-                    if acc is None:
-                        acc = block[x] = {}
                     for b2, c2 in uvec.items():
-                        acc[b2] = acc.get(b2, 0) + c * c2
+                        key = (x, b2)
+                        block[key] = get(key, 0) + c * c2
             # lam >= 1: x = u[:lam] + v + u[lam+1:], prefix degree sum s
             for u, uvec in outer_by_first.get(a, ()):
                 s = degrees[a]
                 for lam in range(1, len(u)):
-                    negate = rule(k, lam, n, s)
+                    negate = _alpha_parity(k, lam, n, s)
                     pre, suf = u[:lam], u[lam + 1 :]
-                    for v, c in by_output.get(u[lam], ()):
+                    inners = by_output.get(u[lam], ())
+                    for b2, c2 in uvec.items():
                         if negate:
-                            c = -c
-                        x = pre + v + suf
-                        acc = block.get(x)
-                        if acc is None:
-                            acc = block[x] = {}
-                        for b2, c2 in uvec.items():
-                            acc[b2] = acc.get(b2, 0) + c * c2
+                            c2 = -c2
+                        for v, c in inners:
+                            key = (pre + v + suf, b2)
+                            block[key] = get(key, 0) + c * c2
                     s += degrees[u[lam]]
-        for x, acc in block.items():
-            if top := {b: c for b, c in acc.items() if c}:
-                yield x, top
+        tops: dict[Word, dict[int, int]] = {}
+        for (x, b), c in block.items():
+            if c:
+                tops.setdefault(x, {})[b] = c
+        yield from tops.items()
+
+
+def _desuspended(
+    sums: Iterable[tuple[Word, dict[int, int]]], degrees: tuple[int, ...]
+) -> dict[Word, dict[int, int]]:
+    """R(x) = sigma(x) * S(x), the one-letter part of D(D(x)) on the primed maps.
+
+    sigma is the desuspension sign by which the transfer signs each entry.
+    """
+    out = {}
+    for x, top in sums:
+        if _desusp_parity([degrees[a] for a in x]):
+            top = {b: -c for b, c in top.items()}
+        out[x] = top
+    return out
 
 
 def _scaled_tables(structure: AStructure, max_arity: int) -> tuple[Tables, int]:
@@ -146,31 +156,33 @@ def _sweep_one(
     windows: dict[Word, Vector],
     tables: Tables,
     scale: int,
+    walked: dict[int, list],
 ) -> list[RawFailure]:
     """Sweep one (check, arity) cell and return its nonzero defects.
 
-    Both checks take the ``_top_sums`` of the arity: the direct check with
-    alpha signs on the unprimed tables, whose nonzero sums are its defects,
-    and the coderivation check with pass signs on the primed tables, whose
-    nonzero sums are the one-letter parts R(x) of D(D(x)).  D(D(.)) is again
-    a coderivation, of even degree, so at a word P + x + S it is the sum
-    over the windows x of P + R(x) + S, with no sign.  So the coderivation
-    check adds each nonzero R(x) of this arity to ``windows``, the bad
-    windows of one check's lower arities, and assembles every defect from
-    the placements of all of them.  Any other ``check`` runs the direct
-    one, which adds no window; each check of ``verify_structure`` starts
-    from an empty ``windows``.
+    Both checks read the nonzero ``_top_sums`` S(x) of the arity, walked by
+    the first cell that needs them and kept in ``walked``.  The direct check
+    reports them.  The coderivation check adds each R(x) = sigma(x) * S(x)
+    (``_desuspended``), the one-letter part of D(D(x)), to ``windows``, the
+    bad windows of its lower arities.  D(D(.)) is again a coderivation, of
+    even degree, so at a word P + x + S it is the sum over the windows x of
+    P + R(x) + S, with no sign; every defect is assembled from these
+    placements.  Any other ``check`` runs the direct one, which adds no
+    window; each check of ``verify_structure`` has its own ``windows``.
 
-    ``tables`` are the integer tables of ``_scaled_tables`` with their
-    ``scale``; tables above ``arity`` are ignored.  The defects of the
-    failing words are divided back by ``scale**2``.
+    ``tables`` are the integer tables of the unprimed ``structure``
+    (``_scaled_tables``); tables above ``arity`` are ignored.  The defects
+    of the failing words are divided back by ``scale**2``.
     """
     degrees = structure.space.degrees
+    sums = walked.get(arity)
+    if sums is None:
+        sums = walked[arity] = list(_top_sums(tables, degrees, arity))
     defects: dict[Word, dict[Word, int]] = {}
     if check == "coderivation":
-        windows.update(_top_sums(tables, degrees, arity, _pass_parity))
+        windows.update(_desuspended(sums, degrees))
     else:
-        for x, top in _top_sums(tables, degrees, arity, _alpha_parity):
+        for x, top in sums:
             defects[x] = {(b,): c for b, c in top.items()}
     letters = range(structure.space.dim)
     for x, top in windows.items():
@@ -209,9 +221,10 @@ def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Repor
     """Check all basis words of arity 1..max_arity.
 
     ``mode`` selects the direct identity, the coderivation square, or both.
-    Both checks sum only the terms built from an outer and an inner table
-    entry, into the words those build; the coderivation check sums the
-    other words' squares from the one-letter sums found there.  At every
+    Each arity's terms built from an outer and an inner table entry are
+    summed once, into the words those build, for every selected check; the
+    coderivation check sums the other words' squares from the one-letter
+    sums found there.  At every
     other word each term is zero, so all words are still certified.  The
     report ordering is deterministic.
     """
@@ -221,15 +234,16 @@ def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Repor
               "both": ["direct", "coderivation"]}.get(mode)
     if checks is None:
         raise InputError(f"unknown mode {mode!r}")
-    snap = s.snapshot(max_arity)
+    snap = s.snapshot(max_arity).unprimed_version()
+    tables, scale = _scaled_tables(snap, max_arity)
+    windows: dict[str, dict[Word, Vector]] = {check: {} for check in checks}
     records = []
-    for check in checks:
-        structure = snap.unprimed_version() if check == "direct" else snap.primed_version()
-        tables, scale = _scaled_tables(structure, max_arity)
-        windows: dict[Word, Vector] = {}
-        for arity in range(1, max_arity + 1):
-            failures = _sweep_one(structure, check, arity, windows, tables, scale)
-            records.append(_to_record(structure.space, check, arity, failures))
+    for arity in range(1, max_arity + 1):
+        walked: dict = {}  # this arity's top sums, dropped after its cells
+        for check in checks:
+            failures = _sweep_one(snap, check, arity, windows[check], tables, scale, walked)
+            records.append(_to_record(snap.space, check, arity, failures))
+    records.sort(key=lambda rec: checks.index(rec.check))  # stable: arities stay in order
     return Report(
         structure=s.name,
         convention=s.space.convention,

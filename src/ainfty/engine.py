@@ -12,10 +12,10 @@ defining identities are implemented side by side:
 
 The per-word functions here are the reference oracle and compute in
 ``Fraction``.  This module runs no sweep: ``_backend.verify_structure``
-sums the same terms on tables scaled to integers, by walking the pairs of
-table entries that build them (Lemma 2's top sum of D(D(.)) for the
-coderivation check), and sums every other coderivation defect from the
-one-letter parts found there.
+walks the pairs of unprimed table entries, scaled to integers, that build
+the direct terms, once per arity for both checks; Lemma 2's top sum of
+D(D(x)) is that sum times the desuspension sign of x, and every other
+coderivation defect is summed from these one-letter parts.
 """
 
 from __future__ import annotations
@@ -161,6 +161,20 @@ class AStructure:
             raise InputError("structure maps must share the structure's space")
         if m.primed != self.primed:
             raise InputError("structure maps must match the structure's primed flag")
+
+    def __repr__(self) -> str:
+        head = f"AStructure({self.name!r}, primed={self.primed}"
+        if not self.is_finite:
+            return head + ", generator)"
+        space = self.space
+        basis = ", ".join(f"{space.name(i)}:{d}" for i, d in enumerate(space.degrees))
+        entries = [
+            f"m{k}({','.join(space.word_names(w))}) = "
+            + " + ".join(f"{c} {space.name(b)}" for b, c in sorted(vec.items()))
+            for k in self.arities
+            for w, vec in sorted(self._maps[k].table.items())
+        ]
+        return f"{head}, basis=[{basis}], tables=[{'; '.join(entries)}])"
 
     @property
     def is_finite(self) -> bool:

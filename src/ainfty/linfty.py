@@ -7,9 +7,9 @@ computed once per distinct rearrangement of each table entry
 (``_symmetrize``).  ``linfty_defect`` checks the generalized Jacobi
 identity on one word in unshuffle form, summing l_j(l_i(block) tensor
 rest) over all (i, n-i)-unshuffles with i + j = n + 1; it is the literal
-oracle.  The sweep instead symmetrizes the one-letter parts of D(D(x))
-that the A-infinity top sums of the primed maps give (``verify_linfty``).
-Its nonzero defects become report records through the same
+oracle.  The sweep instead symmetrizes the one-letter parts of D(D(x)),
+the direct top sums times the sign of x (``verify_linfty``).  Its nonzero
+defects become report records through the same
 ``_backend._to_record`` as the structure checks.  Un-priming the
 symmetrized family back to the unshifted space is deliberately not
 offered; conventions for that step vary and nothing here needs it.
@@ -28,7 +28,7 @@ from .engine import AStructure, MultiMap
 from .errors import InputError
 from .graded import GradedSpace, TensorPoly, Vector, Word
 from .report import Report
-from .signs import _pass_parity, koszul_permutation_sign, pass_operator_sign
+from .signs import koszul_permutation_sign, pass_operator_sign
 
 
 @dataclass(frozen=True)
@@ -204,22 +204,23 @@ def verify_linfty(s: AStructure, max_arity: int) -> Report:
     Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi defect of
     l = Sym(m') is Sym(R), where R(x) is the one-letter part of D(D(x)) on
     the primed maps m': J(y) = sum over sigma of sign(sigma, y) * R(sigma . y).
-    The sweep takes R from the pass-signed ``_backend._top_sums`` of the
-    primed tables, scaled to ints, symmetrizes its nonzero values and divides
-    them back by ``scale**2``.  Every other word's R, and so its J, is zero,
-    so each record still certifies all dim**n words and is reported like the
-    structure checks, under the check name ``linfty``.
+    The sweep takes R(x) = sigma(x) * S(x) from the direct sums S of the
+    unprimed tables scaled to ints (``_backend._desuspended``), symmetrizes
+    its nonzero values and divides them back by ``scale**2``.  Every other
+    word's R, and so its J, is zero, so each record still certifies all
+    dim**n words and is reported under the check name ``linfty``.
     """
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
-    primed = s.snapshot(max_arity).primed_version()
+    snap = s.snapshot(max_arity).unprimed_version()
     space = s.space
-    tables, scale = _backend._scaled_tables(primed, max_arity)
+    tables, scale = _backend._scaled_tables(snap, max_arity)
     ddegs = [d - 1 for d in space.degrees]
     denominator = scale * scale
     records = []
     for arity in range(1, max_arity + 1):
-        windows = dict(_backend._top_sums(tables, space.degrees, arity, _pass_parity))
+        sums = _backend._top_sums(tables, space.degrees, arity)
+        windows = _backend._desuspended(sums, space.degrees)
         failures = [
             (y, [((b,), Fraction(c, denominator)) for b, c in vec.items()])
             for y, vec in _symmetrize(windows, ddegs).items()

@@ -73,30 +73,24 @@ def desusp_word_sign(degrees: Sequence[int]) -> Sign:
     front costs (-1)**(sum_i (n-i)*d_i): the i-th operator passes the i-1
     letters in front of it.
     """
-    n = len(degrees)
-    if n < 1:
+    if not degrees:
         raise InputError("need at least one degree")
-    exponent = sum((n - 1 - i) * d for i, d in enumerate(degrees))
-    return sign_of(exponent)
+    return sign_of(_desusp_parity(degrees))
+
+
+def _desusp_parity(degrees: Sequence[int]) -> int:
+    """The parity of ``desusp_word_sign``'s exponent, without argument checks."""
+    n = len(degrees)
+    return sum((n - 1 - i) * d for i, d in enumerate(degrees)) & 1
 
 
 def _alpha_parity(k: int, lam: int, n: int, prefix_degree_sum: int) -> int:
     """The parity of ``alpha_sign``'s exponent, without argument checks.
 
-    1 exactly when the sign is -1; the direct sweep calls this per
-    (table entry, position).
+    1 exactly when the sign is -1; the top-sum walk of every sweep calls
+    this per (table entry, position).
     """
     return (k + lam + k * lam + k * n + k * prefix_degree_sum) & 1
-
-
-def _pass_parity(k: int, lam: int, n: int, prefix_degree_sum: int) -> int:
-    """The parity of passing a degree-1 map across lam desuspended letters.
-
-    The letters have degrees d - 1, so it is that of prefix_degree_sum - lam;
-    ``k`` and ``n`` are unused and kept so it shares ``_alpha_parity``'s
-    arguments.  The coderivation sweep calls this per (entry, position).
-    """
-    return (prefix_degree_sum - lam) & 1
 
 
 def alpha_sign(k: int, lam: int, n: int, prefix_degree_sum: int) -> Sign:

@@ -4,7 +4,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ainfty import (
     AStructure,
@@ -22,11 +22,12 @@ from ainfty import (
     example_structure,
     parse_structure,
     stasheff_defect,
+    verify_linfty,
     verify_structure,
 )
 import ainfty._backend as backend
 import ainfty.engine as engine
-from ainfty.signs import _alpha_parity, _pass_parity
+from ainfty.signs import desusp_word_sign
 from conftest import nonzero_coefficients, random_structures
 from test_engine import mutated_structure
 
@@ -269,36 +270,72 @@ def test_top_sums_hold_one_first_letter_at_a_time():
     assert peak < 4_000_000, f"peak traced memory {peak} bytes"
 
 
-def triples_walked(s: AStructure, n: int, rule) -> int:
+def triples_walked(s: AStructure, n: int) -> int:
     """The (u, lam, v) triples ``_top_sums`` walks at arity n.
 
-    Each triple reads its outer entry's output once, and indexing reads
-    each inner entry's output once; the reads beyond that are the triples.
-    A walk that reads far more than the triples fails at 20,000 reads.
+    Each triple multiplies c_v[u[lam]] once by each coefficient of m(u), so
+    on tables with one output per entry the products are the triples.  The
+    coefficients count the products they take part in; a walk that
+    multiplies far more than the triples fails at 20,000 products.
     """
     tables, _ = backend._scaled_tables(s, n)
-    reads = 0
+    assert all(len(vec) == 1 for t in tables.values() for vec in t.values())
+    products = 0
 
-    class Counted(dict):
-        def items(self):
-            nonlocal reads
-            reads += 1
-            assert reads <= 20_000, "the walk reads too many table entries"
-            return super().items()
+    class Counted(int):
+        def __neg__(self):
+            return Counted(-int(self))
 
-    counted = {k: {w: Counted(vec) for w, vec in t.items()} for k, t in tables.items()}
-    list(backend._top_sums(counted, s.space.degrees, n, rule))
-    indexing = sum(len(counted[k]) for k in counted if k <= n and n - k + 1 in counted)
-    triples = reads - indexing
-    assert triples == triple_count(tables, n)
-    return triples
+        def __mul__(self, other):
+            nonlocal products
+            products += 1
+            assert products <= 20_000, "the walk multiplies too many coefficients"
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+    counted = {
+        k: {w: {b: Counted(c) for b, c in vec.items()} for w, vec in t.items()}
+        for k, t in tables.items()
+    }
+    list(backend._top_sums(counted, s.space.degrees, n))
+    assert products == triple_count(tables, n)
+    return products
 
 
 def test_triples_walked_on_the_example():
     """Polynomial work: 6,040 triples at arity 20, against 3**20 words."""
     s = example_structure()
-    for t, rule in ((s, _alpha_parity), (s.primed_version(), _pass_parity)):
-        assert [triples_walked(t, n, rule) for n in (7, 12, 20)] == [294, 1384, 6040]
+    assert [triples_walked(s, n) for n in (7, 12, 20)] == [294, 1384, 6040]
+
+
+def test_every_check_walks_each_arity_once(monkeypatch):
+    """Both A-infinity checks and the linfty check share one walk per arity.
+
+    The coderivation and linfty sums are the direct ones times a sign of
+    the word, so no sweep transfers the maps to the primed side.
+    """
+    calls = []
+    top_sums = backend._top_sums
+
+    def counting(tables, degrees, n):
+        calls.append(n)
+        return top_sums(tables, degrees, n)
+
+    def no_transfer(*args):
+        raise AssertionError("a sweep built the primed maps")
+
+    monkeypatch.setattr(backend, "_top_sums", counting)
+    monkeypatch.setattr(engine, "prime", no_transfer)
+    monkeypatch.setattr(AStructure, "primed_version", no_transfer)
+    assert verify_structure(example_structure(), 8, "both").passed
+    assert calls == list(range(1, 9))
+    calls.clear()
+    assert not verify_structure(mutated_structure(), 5, "both").passed
+    assert calls == list(range(1, 6))
+    calls.clear()
+    assert not verify_linfty(mutated_structure(), 4).passed
+    assert calls == list(range(1, 5))
 
 
 def test_sweeps_never_evaluate_a_word(monkeypatch):
@@ -326,10 +363,14 @@ def test_sweeps_never_evaluate_a_word(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_coderivation_sweep_matches_oracle_on_random_structures(data):
-    """About a third of these fail below arity 4, so bad windows get placed."""
+    """About a quarter of these fail below arity 4, so bad windows get placed.
+
+    Degrees -2..3 put letters of both parities on either side of zero, so
+    the desuspension sign of each window is exercised with negative degrees.
+    """
     s = data.draw(
         random_structures(
-            max_arity=3, max_entries=6, min_dim=2, max_dim=3, min_degree=-1, max_degree=1
+            max_arity=3, max_entries=6, min_dim=2, max_dim=3, min_degree=-2, max_degree=3
         )
     )
     report = verify_structure(s, 4, mode="coderivation")
@@ -344,6 +385,29 @@ def test_coderivation_sweep_matches_oracle_on_the_mutated_example():
 
 def one_letter_part(primed: AStructure, word) -> dict:
     return {w: c for w, c in d_squared(primed, word).terms.items() if len(w) == 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    random_structures(
+        max_arity=3, max_entries=6, max_dim=3, min_degree=-2, max_degree=3
+    )
+)
+@example(mutated_structure())
+@example(wide_denominator_structure())
+def test_one_letter_part_is_desuspension_signed_direct_defect(s):
+    """R(x) = sigma(x) * S(x) on every word, from the literal oracles.
+
+    R(x) is the one-letter part of D(D(x)) on the primed maps, S(x) the
+    direct defect and sigma(x) the desuspension sign of x.  The coderivation
+    and linfty sweeps take their sums from the direct walk by this identity.
+    """
+    primed = s.primed_version()
+    for n in range(1, 5):
+        for x in s.space.basis_words(n):
+            sigma = desusp_word_sign([s.space.degree(a) for a in x])
+            direct = stasheff_defect(s, x)
+            assert one_letter_part(primed, x) == {(b,): sigma * c for b, c in direct.items()}
 
 
 def test_coderivation_placements_that_cancel_are_not_reported():

@@ -2,8 +2,10 @@
 
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfty import (
     CheckRecord,
@@ -12,6 +14,7 @@ from ainfty import (
     Report,
     cli,
     emit_report,
+    parse_structure,
     serialize_structure,
 )
 from ainfty.cli import run_cli
@@ -387,3 +390,47 @@ def test_unknown_builtin_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+CORPUS = Path(__file__).parent / "corpus"
+
+
+@st.composite
+def mutated_corpus_files(draw):
+    """A corpus structure file with one to four bytes replaced, inserted or deleted.
+
+    Half of the new bytes are drawn from the file format's own characters,
+    so many mutants still parse and reach a sweep.
+    """
+    name = draw(st.sampled_from(sorted(p.name for p in CORPUS.glob("*.astr"))))
+    data = bytearray((CORPUS / name).read_bytes())
+    syntax = st.sampled_from(b"0123456789-+/:># \n\tabem")
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        byte = draw(st.one_of(syntax, st.integers(min_value=0, max_value=255)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "replace":
+            data[i] = byte
+        elif op == "insert":
+            data.insert(i, byte)
+        else:
+            del data[i]
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_corpus_files(), command=st.sampled_from(["verify", "linfty"]))
+def test_mutated_corpus_files_keep_the_exit_code_contract(tmp_path_factory, data, command):
+    """A file that does not parse exits 2, and no file exits 3."""
+    path = tmp_path_factory.mktemp("mutant") / "mutant.astr"
+    path.write_bytes(data)
+    try:
+        # read as the CLI reads it, with universal newlines
+        parse_structure(path.read_text(encoding="utf-8"))
+        parses = True
+    except (UnicodeDecodeError, InputError):
+        parses = False
+    code = run_cli([command, "--input", str(path), "--max-arity", "3", "--format", "machine"])
+    assert code != 3, "a mutated structure file raised an internal error"
+    if not parses:
+        assert code == 2

@@ -449,3 +449,14 @@ def test_primed_unprimed_versions_round_trip():
     assert sp.primed and sp.map_at(2) == prime(example_m(2))
     back = sp.unprimed_version()
     assert back.map_at(3) == example_m(3)
+
+
+def test_repr_shows_the_structure():
+    """A failing property prints its structure: name, flag, basis and tables."""
+    s = mutated_structure(2)
+    text = repr(s)
+    assert text.startswith("AStructure('mutated', primed=False, basis=[")
+    assert "v1:" in text and "m2(v1,v2) = " in text
+    primed = repr(s.primed_version())
+    assert "primed=True" in primed and "m1(" in primed
+    assert repr(example_structure()) == "AStructure('paper-example', primed=False, generator)"

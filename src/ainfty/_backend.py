@@ -1,18 +1,18 @@
 """The sweeps: every basis word of each (check, arity) cell is certified.
 
-The per-word defect functions in ``engine`` are the reference
-implementation.  ``verify_structure`` owns the whole A-infinity run: it
-validates the request, snapshots the maps, sums the terms of each arity's
-identities, collects the nonzero defects, and turns them into report
-records in a deterministic order.  No sweep visits every word.  All three
-share one walk per arity, ``_top_sums``: it goes over the (outer entry,
-position, inner entry) triples of the unprimed tables and adds each signed
-term straight into the direct sum S(x) of the word it belongs to, one first
-letter at a time.  The direct check reports the nonzero S(x); the
-coderivation check places, and the ``linfty`` sweep symmetrizes, the
-one-letter parts R(x) = sigma(x) * S(x) of D(D(x)) (``_desuspended``).
-Every other word is zero by construction, so each record still certifies
-all ``dim**n`` words; ``_to_record`` builds the records of all three.
+The per-word defect functions in ``engine`` and ``linfty`` are the
+reference implementation.  ``_sweep`` is the one driver of all three
+checks, behind ``verify_structure`` and ``linfty.verify_linfty``: it
+validates the request, snapshots and scales the maps, runs each cell, and
+turns the nonzero defects into report records in a deterministic order.
+No cell visits every word.  All share one walk per arity, ``_top_sums``:
+it goes over the (outer entry, position, inner entry) triples of the
+unprimed tables and adds each signed term straight into the direct sum
+S(x) of the word it belongs to, one first letter at a time.  The direct
+cell reports the nonzero S(x); the coderivation cell places, and the
+linfty cell symmetrizes, the one-letter parts R(x) = sigma(x) * S(x) of
+D(D(x)) (``_desuspended``).  Every other word is zero by construction, so
+each record still certifies all ``dim**n`` words.
 
 All three sweeps run on Python ints.  Each run scales every table
 coefficient by ``scale``, the lcm of all their denominators
@@ -20,23 +20,23 @@ coefficient by ``scale``, the lcm of all their denominators
 is a product of exactly two coefficients, and symmetrization only adds
 such terms with integer weights, so a scaled defect is exactly
 ``scale**2`` times the true one and is zero exactly when it is.  Only the
-defects of failing words are divided back into ``Fraction``s, which reduce
-to lowest terms, so the records are the ones the ``Fraction`` oracle
-builds.
+defects of failing words are divided back into ``Fraction``s
+(``_unscaled``), which reduce to lowest terms, so the records are the ones
+the ``Fraction`` oracle builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from typing import Iterable, Iterator
+from math import factorial, lcm, prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .engine import AStructure, Tables
 from .errors import InputError
 from .graded import GradedSpace, Vector, Word
 from .report import CheckRecord, Failure, Report
-from .signs import _alpha_parity, _desusp_parity
+from .signs import _alpha_parity, _desusp_parity, koszul_permutation_sign
 
 # a failure as raw data: (input word, [(defect word, coefficient), ...])
 RawFailure = tuple[Word, list[tuple[Word, Fraction]]]
@@ -149,6 +149,84 @@ def _scaled_tables(structure: AStructure, max_arity: int) -> tuple[Tables, int]:
     return scaled, scale
 
 
+
+
+def _rearrangements(w: Word) -> Iterable[Word]:
+    """The distinct rearrangements of w, in lexicographic order.
+
+    Multiset next-permutation: each distinct word once, not once per
+    permutation that produces it.
+    """
+    a = sorted(w)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
+def _symmetrize(table: Mapping[Word, Vector], ddegs: Sequence[int]) -> dict[Word, Vector]:
+    """Sum a map over all Koszul-signed permutations of its inputs.
+
+    l(y) is the sum over permutations sigma of sign(sigma, y) * m(sigma . y),
+    where letter i of y moves to position sigma[i] and ``ddegs`` are the
+    desuspended letter degrees.  A term is nonzero only when sigma . y is a
+    table entry w, so the sum runs over table entries and their distinct
+    rearrangements y.  The permutations taking y to w differ by swaps of
+    equal letters; such a swap costs the square of the letter's degree.  So
+    an entry that repeats a letter of odd degree cancels, and otherwise
+    each y gets the stabilizer size (the product of the letter
+    multiplicities' factorials) times one Koszul sign.  Coefficients may be
+    ints or ``Fraction``s; the nonzero values are returned.
+    """
+    out: dict[Word, Vector] = {}
+    for w, vec in table.items():
+        odd = [b for b in w if ddegs[b] % 2]
+        if len(odd) != len(set(odd)):
+            continue
+        stabilizer = prod(factorial(w.count(b)) for b in set(w))
+        slots: dict[int, list[int]] = {}
+        for p, b in enumerate(w):
+            slots.setdefault(b, []).append(p)
+        for y in _rearrangements(w):
+            # one sigma with y[i] = w[sigma[i]]: equal letters keep their order
+            taken = {b: iter(ps) for b, ps in slots.items()}
+            sigma = [next(taken[b]) for b in y]
+            sign = stabilizer * koszul_permutation_sign([ddegs[b] for b in y], sigma)
+            acc = out.setdefault(y, {})
+            for b, c in vec.items():
+                acc[b] = acc.get(b, 0) + sign * c
+    pruned = {y: {b: c for b, c in acc.items() if c} for y, acc in out.items()}
+    return {y: acc for y, acc in pruned.items() if acc}
+
+
+def _walked_sums(
+    tables: Tables, degrees: tuple[int, ...], arity: int, walked: dict[int, list]
+) -> list[tuple[Word, dict[int, int]]]:
+    """The arity's ``_top_sums``, walked by the first cell that needs them."""
+    sums = walked.get(arity)
+    if sums is None:
+        sums = walked[arity] = list(_top_sums(tables, degrees, arity))
+    return sums
+
+
+def _unscaled(defects: dict[Word, dict[Word, int]], scale: int) -> list[RawFailure]:
+    """The nonzero scaled defects, divided back by ``scale**2``."""
+    denominator = scale * scale
+    failures = []
+    for word, acc in defects.items():
+        if terms := [(w, Fraction(c, denominator)) for w, c in acc.items() if c]:
+            failures.append((word, terms))
+    return failures
+
+
 def _sweep_one(
     structure: AStructure,
     check: str,
@@ -158,26 +236,20 @@ def _sweep_one(
     scale: int,
     walked: dict[int, list],
 ) -> list[RawFailure]:
-    """Sweep one (check, arity) cell and return its nonzero defects.
+    """Sweep one A-infinity (check, arity) cell and return its nonzero defects.
 
-    Both checks read the nonzero ``_top_sums`` S(x) of the arity, walked by
-    the first cell that needs them and kept in ``walked``.  The direct check
-    reports them.  The coderivation check adds each R(x) = sigma(x) * S(x)
+    ``check`` is ``direct`` or ``coderivation``.  Both read the nonzero
+    ``_top_sums`` S(x) of the arity, and the direct check reports them.
+    The coderivation check adds each R(x) = sigma(x) * S(x)
     (``_desuspended``), the one-letter part of D(D(x)), to ``windows``, the
     bad windows of its lower arities.  D(D(.)) is again a coderivation, of
     even degree, so at a word P + x + S it is the sum over the windows x of
     P + R(x) + S, with no sign; every defect is assembled from these
-    placements.  Any other ``check`` runs the direct one, which adds no
-    window; each check of ``verify_structure`` has its own ``windows``.
-
-    ``tables`` are the integer tables of the unprimed ``structure``
-    (``_scaled_tables``); tables above ``arity`` are ignored.  The defects
-    of the failing words are divided back by ``scale**2``.
+    placements.  ``tables`` are the integer tables of the unprimed
+    ``structure`` (``_scaled_tables``).
     """
     degrees = structure.space.degrees
-    sums = walked.get(arity)
-    if sums is None:
-        sums = walked[arity] = list(_top_sums(tables, degrees, arity))
+    sums = _walked_sums(tables, degrees, arity, walked)
     defects: dict[Word, dict[Word, int]] = {}
     if check == "coderivation":
         windows.update(_desuspended(sums, degrees))
@@ -194,12 +266,24 @@ def _sweep_one(
                     for b, c in top.items():
                         w = pre + (b,) + suf
                         acc[w] = acc.get(w, 0) + c
-    denominator = scale * scale
-    failures = []
-    for word, acc in defects.items():
-        if terms := [(w, Fraction(c, denominator)) for w, c in acc.items() if c]:
-            failures.append((word, terms))
-    return failures
+    return _unscaled(defects, scale)
+
+
+def _linfty_cell(
+    space: GradedSpace, arity: int, tables: Tables, scale: int, walked: dict[int, list]
+) -> list[RawFailure]:
+    """Sweep one linfty cell and return its nonzero Jacobi defects.
+
+    Symmetrization carries the Gerstenhaber bracket to the
+    Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi defect of
+    l = Sym(m') is Sym(R), where R(x) = sigma(x) * S(x) is the one-letter
+    part of D(D(x)).
+    """
+    degrees = space.degrees
+    windows = _desuspended(_walked_sums(tables, degrees, arity, walked), degrees)
+    jacobi = _symmetrize(windows, [d - 1 for d in degrees])
+    defects = {y: {(b,): c for b, c in vec.items()} for y, vec in jacobi.items()}
+    return _unscaled(defects, scale)
 
 
 def _to_record(
@@ -217,36 +301,38 @@ def _to_record(
     )
 
 
-def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Report:
-    """Check all basis words of arity 1..max_arity.
-
-    ``mode`` selects the direct identity, the coderivation square, or both.
-    Each arity's terms built from an outer and an inner table entry are
-    summed once, into the words those build, for every selected check; the
-    coderivation check sums the other words' squares from the one-letter
-    sums found there.  At every
-    other word each term is zero, so all words are still certified.  The
-    report ordering is deterministic.
-    """
+def _sweep(s: AStructure, max_arity: int, checks: tuple[str, ...]) -> Report:
+    """Sweep ``checks`` (direct, coderivation, linfty) over arities 1..max_arity."""
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
-    checks = {"direct": ["direct"], "coderivation": ["coderivation"],
-              "both": ["direct", "coderivation"]}.get(mode)
-    if checks is None:
-        raise InputError(f"unknown mode {mode!r}")
     snap = s.snapshot(max_arity).unprimed_version()
     tables, scale = _scaled_tables(snap, max_arity)
     windows: dict[str, dict[Word, Vector]] = {check: {} for check in checks}
-    records = []
+    records: dict[str, list[CheckRecord]] = {check: [] for check in checks}
     for arity in range(1, max_arity + 1):
-        walked: dict = {}  # this arity's top sums, dropped after its cells
+        walked: dict[int, list] = {}  # this arity's top sums, dropped after its cells
         for check in checks:
-            failures = _sweep_one(snap, check, arity, windows[check], tables, scale, walked)
-            records.append(_to_record(snap.space, check, arity, failures))
-    records.sort(key=lambda rec: checks.index(rec.check))  # stable: arities stay in order
+            if check == "linfty":
+                failures = _linfty_cell(snap.space, arity, tables, scale, walked)
+            else:
+                failures = _sweep_one(snap, check, arity, windows[check], tables, scale, walked)
+            records[check].append(_to_record(snap.space, check, arity, failures))
     return Report(
         structure=s.name,
         convention=s.space.convention,
         max_arity=max_arity,
-        checks=tuple(records),
+        checks=tuple(rec for check in checks for rec in records[check]),
     )
+
+
+def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Report:
+    """Check all basis words of arity 1..max_arity.
+
+    ``mode`` selects the direct identity (``direct``), the coderivation
+    square (``coderivation``) or both (``both``), swept by ``_sweep``.
+    """
+    checks = {"direct": ("direct",), "coderivation": ("coderivation",),
+              "both": ("direct", "coderivation")}.get(mode)
+    if checks is None:
+        raise InputError(f"unknown mode {mode!r}")
+    return _sweep(s, max_arity, checks)

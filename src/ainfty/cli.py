@@ -136,12 +136,15 @@ def _refuse_unprintable(dim: int, max_arity: int, n_checks: int, fmt: str) -> No
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
-    # far past the limit, skip building the exact powers
-    if max_arity * math.log10(dim) <= limit + 1:
+    # far past the limit, skip the exact powers; max_arity may not fit a float
+    if dim < 2 or max_arity <= (limit + 1) / math.log10(dim):
         if fmt == "machine":
             largest = dim**max_arity
+        elif dim == 1:
+            largest = n_checks * max_arity
         else:
-            largest = n_checks * sum(dim**n for n in range(1, max_arity + 1))
+            # dim + dim**2 + ... + dim**max_arity, in closed form
+            largest = n_checks * (dim ** (max_arity + 1) - dim) // (dim - 1)
         if largest < 10**limit:
             return
     raise InputError(

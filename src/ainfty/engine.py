@@ -11,9 +11,9 @@ defining identities are implemented side by side:
   and evaluates D(D(word)), which must vanish.
 
 The per-word functions here are the reference oracle and compute in
-``Fraction``.  This module runs no sweep: ``_backend.verify_structure``
+``Fraction``.  This module runs no sweep: the one driver in ``_backend``
 walks the pairs of unprimed table entries, scaled to integers, that build
-the direct terms, once per arity for both checks; Lemma 2's top sum of
+the direct terms, once per arity for every check; Lemma 2's top sum of
 D(D(x)) is that sum times the desuspension sign of x, and every other
 coderivation defect is summed from these one-letter parts.
 """
@@ -328,8 +328,8 @@ def _d_squared_raw(
 ) -> dict[Word, Fraction]:
     """D(D(word)) on one unchecked word, as a pruned raw word -> coeff dict.
 
-    The coefficients have the type of the table coefficients; the seed
-    coefficient is the int 1, which keeps int tables in ints.
+    The coefficients have the type of the table coefficients: ``Fraction``s
+    from ``d_squared``, its only caller.
     """
     first: dict[Word, Fraction] = {}
     _coderivation_terms(tables, degrees, w, 1, first)

@@ -4,8 +4,8 @@ This is the substrate the rest of the package computes on.  Coefficients are
 exact rationals (``fractions.Fraction``), so there is no floating point and
 no tolerance anywhere: a defect either is zero or it is not.  Every
 coefficient that crosses a public interface is a ``Fraction``; only inside
-the A-infinity sweeps does ``_backend`` scale a check's tables by their
-common denominator and compute on Python ints, which are just as exact.
+the sweeps of all three checks does ``_backend`` scale a run's tables by
+their common denominator and compute on Python ints, which are just as exact.
 
 Representation choices, shared package-wide:
 

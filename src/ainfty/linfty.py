@@ -1,29 +1,27 @@
 """Skew-symmetrization of the transferred maps and the induced bracket checks.
 
-Everything here happens on the desuspended side, where the transferred maps
-have degree 1 and symmetrization uses plain Koszul signs: the symmetrized
-map is the sum of the original over all signed permutations of its inputs,
-computed once per distinct rearrangement of each table entry
-(``_symmetrize``).  ``linfty_defect`` checks the generalized Jacobi
-identity on one word in unshuffle form, summing l_j(l_i(block) tensor
-rest) over all (i, n-i)-unshuffles with i + j = n + 1; it is the literal
-oracle.  The sweep instead symmetrizes the one-letter parts of D(D(x)),
-the direct top sums times the sign of x (``verify_linfty``).  Its nonzero
-defects become report records through the same
-``_backend._to_record`` as the structure checks.  Un-priming the
-symmetrized family back to the unshifted space is deliberately not
-offered; conventions for that step vary and nothing here needs it.
+The transferred maps live on the desuspended side, where they have degree
+1 and symmetrization uses plain Koszul signs: the symmetrized map is the
+sum of the original over all signed permutations of its inputs
+(``symmetrize_prime``, over ``_backend._symmetrize``).  ``linfty_defect``
+checks the generalized Jacobi identity on one word in unshuffle form,
+summing l_j(l_i(block) tensor rest) over all (i, n-i)-unshuffles with
+i + j = n + 1; it is the literal oracle.  The sweep, ``verify_linfty``, is
+the linfty check of the one driver in ``_backend``: it symmetrizes the
+one-letter parts of D(D(x)), the direct top sums times the sign of x, and
+never builds the symmetrized maps.  Un-priming the symmetrized family back
+to the unshifted space is deliberately not offered; conventions for that
+step vary and nothing here needs it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from . import _backend
+from ._backend import _sweep, _symmetrize
 from .engine import AStructure, MultiMap
 from .errors import InputError
 from .graded import GradedSpace, TensorPoly, Vector, Word
@@ -72,66 +70,10 @@ class SymMultiMap:
         return dict(self.table.get(tuple(w), {}))
 
 
-def _rearrangements(w: Word) -> Iterable[Word]:
-    """The distinct rearrangements of w, in lexicographic order.
-
-    Multiset next-permutation: each distinct word once, not once per
-    permutation that produces it.
-    """
-    a = sorted(w)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
-
-
-def _symmetrize(table: Mapping[Word, Vector], ddegs: Sequence[int]) -> dict[Word, Vector]:
-    """Sum a map over all Koszul-signed permutations of its inputs.
-
-    l(y) is the sum over permutations sigma of sign(sigma, y) * m(sigma . y),
-    where letter i of y moves to position sigma[i] and ``ddegs`` are the
-    desuspended letter degrees.  A term is nonzero only when sigma . y is a
-    table entry w, so the sum runs over table entries and their distinct
-    rearrangements y.  The permutations taking y to w differ by swaps of
-    equal letters; such a swap costs the square of the letter's degree.  So
-    an entry that repeats a letter of odd degree cancels, and otherwise
-    each y gets the stabilizer size (the product of the letter
-    multiplicities' factorials) times one Koszul sign.  Coefficients may be
-    ints or ``Fraction``s; the nonzero values are returned.
-    """
-    out: dict[Word, Vector] = {}
-    for w, vec in table.items():
-        odd = [b for b in w if ddegs[b] % 2]
-        if len(odd) != len(set(odd)):
-            continue
-        stabilizer = math.prod(math.factorial(w.count(b)) for b in set(w))
-        slots: dict[int, list[int]] = {}
-        for p, b in enumerate(w):
-            slots.setdefault(b, []).append(p)
-        for y in _rearrangements(w):
-            # one sigma with y[i] = w[sigma[i]]: equal letters keep their order
-            taken = {b: iter(ps) for b, ps in slots.items()}
-            sigma = [next(taken[b]) for b in y]
-            sign = stabilizer * koszul_permutation_sign([ddegs[b] for b in y], sigma)
-            acc = out.setdefault(y, {})
-            for b, c in vec.items():
-                acc[b] = acc.get(b, 0) + sign * c
-    pruned = {y: {b: c for b, c in acc.items() if c} for y, acc in out.items()}
-    return {y: acc for y, acc in pruned.items() if acc}
-
-
 def symmetrize_prime(mp: MultiMap) -> SymMultiMap:
     """Sum a transferred map over all Koszul-signed permutations of its inputs.
 
-    See ``_symmetrize``; the result is certified graded-symmetric.
+    See ``_backend._symmetrize``; the result is certified graded-symmetric.
     """
     if not mp.primed:
         raise InputError("symmetrization is defined for primed maps")
@@ -198,37 +140,5 @@ def linfty_defect(family: Iterable[SymMultiMap], y: Word) -> TensorPoly:
 
 
 def verify_linfty(s: AStructure, max_arity: int) -> Report:
-    """Symmetrize the transferred maps and sweep the Jacobi relation.
-
-    Symmetrization carries the Gerstenhaber bracket to the
-    Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi defect of
-    l = Sym(m') is Sym(R), where R(x) is the one-letter part of D(D(x)) on
-    the primed maps m': J(y) = sum over sigma of sign(sigma, y) * R(sigma . y).
-    The sweep takes R(x) = sigma(x) * S(x) from the direct sums S of the
-    unprimed tables scaled to ints (``_backend._desuspended``), symmetrizes
-    its nonzero values and divides them back by ``scale**2``.  Every other
-    word's R, and so its J, is zero, so each record still certifies all
-    dim**n words and is reported under the check name ``linfty``.
-    """
-    if max_arity < 1:
-        raise InputError("max_arity must be >= 1")
-    snap = s.snapshot(max_arity).unprimed_version()
-    space = s.space
-    tables, scale = _backend._scaled_tables(snap, max_arity)
-    ddegs = [d - 1 for d in space.degrees]
-    denominator = scale * scale
-    records = []
-    for arity in range(1, max_arity + 1):
-        sums = _backend._top_sums(tables, space.degrees, arity)
-        windows = _backend._desuspended(sums, space.degrees)
-        failures = [
-            (y, [((b,), Fraction(c, denominator)) for b, c in vec.items()])
-            for y, vec in _symmetrize(windows, ddegs).items()
-        ]
-        records.append(_backend._to_record(space, "linfty", arity, failures))
-    return Report(
-        structure=s.name,
-        convention=space.convention,
-        max_arity=max_arity,
-        checks=tuple(records),
-    )
+    """Sweep the Jacobi relations of the symmetrized maps over arities 1..max_arity."""
+    return _sweep(s, max_arity, ("linfty",))

@@ -191,6 +191,8 @@ def test_unprintable_report_helper_agrees_with_python(digit_limit):
     with pytest.raises(InputError):
         cli._refuse_unprintable(3, 10**12, 1, "machine")
     cli._refuse_unprintable(1, 10**5, 2, "text")
+    # the dim-1 text total is computed, not summed over the arities
+    cli._refuse_unprintable(1, 10**400, 2, "text")
     sys.set_int_max_str_digits(0)  # no limit
     cli._refuse_unprintable(3, 10**5, 2, "text")
 
@@ -204,6 +206,9 @@ def test_unprintable_report_helper_agrees_with_python(digit_limit):
         ["verify", "--check", "both", "--max-arity", "9012"],
         ["linfty", "--format", "machine", "--max-arity", "9013"],
         ["linfty", "--max-arity", "9013"],
+        # too large to convert to a float
+        ["verify", "--max-arity", "9" * 400],
+        ["linfty", "--max-arity", "9" * 400],
     ],
 )
 def test_unprintable_report_refused_before_any_sweep(

@@ -21,6 +21,7 @@ from ainfty import (
     prime,
     stasheff_defect,
     unprime,
+    verify_linfty,
     verify_structure,
     word_degree,
 )
@@ -408,6 +409,11 @@ def test_verify_mode_validation():
         verify_structure(example_structure(), 3, mode="sideways")
     with pytest.raises(InputError):
         verify_structure(example_structure(), 0)
+    # the driver's third check is not a mode of verify_structure
+    with pytest.raises(InputError):
+        verify_structure(example_structure(), 3, mode="linfty")
+    with pytest.raises(InputError):
+        verify_linfty(example_structure(), 0)
 
 
 def test_verify_accepts_primed_families_too():

@@ -3,8 +3,8 @@
 The per-word defect functions in ``engine`` and ``linfty`` are the
 reference implementation.  ``_sweep`` is the one driver of all three
 checks, behind ``verify_structure`` and ``linfty.verify_linfty``: it
-validates the request, snapshots and scales the maps, runs each cell, and
-turns the nonzero defects into report records in a deterministic order.
+validates the request, scales the unprimed maps, runs each cell, and turns
+the nonzero defects into report records in a deterministic order.
 No cell visits every word.  All share one walk per arity, ``_top_sums``:
 it goes over the (outer entry, position, inner entry) triples of the
 unprimed tables and adds each signed term straight into the direct sum
@@ -19,10 +19,10 @@ coefficient by ``scale``, the lcm of all their denominators
 (``_scaled_tables``).  Every term of the direct identity and of D(D(word))
 is a product of exactly two coefficients, and symmetrization only adds
 such terms with integer weights, so a scaled defect is exactly
-``scale**2`` times the true one and is zero exactly when it is.  Only the
-defects of failing words are divided back into ``Fraction``s
-(``_unscaled``), which reduce to lowest terms, so the records are the ones
-the ``Fraction`` oracle builds.
+``scale**2`` times the true one and is zero exactly when it is.  Each cell
+returns only its failing words, and ``_to_record`` divides their defects
+back into ``Fraction``s, which reduce to lowest terms, so the records are
+the ones the ``Fraction`` oracle builds.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .graded import GradedSpace, Vector, Word
 from .report import CheckRecord, Failure, Report
 from .signs import _alpha_parity, _desusp_parity, koszul_permutation_sign
 
-# a failure as raw data: (input word, [(defect word, coefficient), ...])
-RawFailure = tuple[Word, list[tuple[Word, Fraction]]]
+# a cell's failing words: input word -> {defect word: scaled coefficient}
+Defects = dict[Word, dict[Word, int]]
 
 
 def active_backend() -> str:
@@ -149,8 +149,6 @@ def _scaled_tables(structure: AStructure, max_arity: int) -> tuple[Tables, int]:
     return scaled, scale
 
 
-
-
 def _rearrangements(w: Word) -> Iterable[Word]:
     """The distinct rearrangements of w, in lexicographic order.
 
@@ -217,25 +215,14 @@ def _walked_sums(
     return sums
 
 
-def _unscaled(defects: dict[Word, dict[Word, int]], scale: int) -> list[RawFailure]:
-    """The nonzero scaled defects, divided back by ``scale**2``."""
-    denominator = scale * scale
-    failures = []
-    for word, acc in defects.items():
-        if terms := [(w, Fraction(c, denominator)) for w, c in acc.items() if c]:
-            failures.append((word, terms))
-    return failures
-
-
 def _sweep_one(
     structure: AStructure,
     check: str,
     arity: int,
     windows: dict[Word, Vector],
     tables: Tables,
-    scale: int,
     walked: dict[int, list],
-) -> list[RawFailure]:
+) -> Defects:
     """Sweep one A-infinity (check, arity) cell and return its nonzero defects.
 
     ``check`` is ``direct`` or ``coderivation``.  Both read the nonzero
@@ -250,7 +237,7 @@ def _sweep_one(
     """
     degrees = structure.space.degrees
     sums = _walked_sums(tables, degrees, arity, walked)
-    defects: dict[Word, dict[Word, int]] = {}
+    defects: Defects = {}
     if check == "coderivation":
         windows.update(_desuspended(sums, degrees))
     else:
@@ -266,12 +253,13 @@ def _sweep_one(
                     for b, c in top.items():
                         w = pre + (b,) + suf
                         acc[w] = acc.get(w, 0) + c
-    return _unscaled(defects, scale)
+    pruned = {x: {w: c for w, c in acc.items() if c} for x, acc in defects.items()}
+    return {x: acc for x, acc in pruned.items() if acc}
 
 
 def _linfty_cell(
-    space: GradedSpace, arity: int, tables: Tables, scale: int, walked: dict[int, list]
-) -> list[RawFailure]:
+    space: GradedSpace, arity: int, tables: Tables, walked: dict[int, list]
+) -> Defects:
     """Sweep one linfty cell and return its nonzero Jacobi defects.
 
     Symmetrization carries the Gerstenhaber bracket to the
@@ -282,18 +270,20 @@ def _linfty_cell(
     degrees = space.degrees
     windows = _desuspended(_walked_sums(tables, degrees, arity, walked), degrees)
     jacobi = _symmetrize(windows, [d - 1 for d in degrees])
-    defects = {y: {(b,): c for b, c in vec.items()} for y, vec in jacobi.items()}
-    return _unscaled(defects, scale)
+    return {y: {(b,): c for b, c in vec.items()} for y, vec in jacobi.items()}
 
 
 def _to_record(
-    space: GradedSpace, check: str, arity: int, failures: list[RawFailure]
+    space: GradedSpace, check: str, arity: int, defects: Defects, scale: int
 ) -> CheckRecord:
+    """The cell's record: failing words in order, defects divided by ``scale**2``."""
+    denominator = scale * scale
     recs = []
-    for word, defect in sorted(failures):
+    for word in sorted(defects):
+        defect = defects[word]
         terms = tuple(
-            (c, space.word_names(dw))
-            for dw, c in sorted(defect, key=lambda t: (len(t[0]), t[0]))
+            (Fraction(defect[dw], denominator), space.word_names(dw))
+            for dw in sorted(defect, key=lambda dw: (len(dw), dw))
         )
         recs.append(Failure(word=space.word_names(word), defect=terms))
     return CheckRecord(
@@ -305,18 +295,18 @@ def _sweep(s: AStructure, max_arity: int, checks: tuple[str, ...]) -> Report:
     """Sweep ``checks`` (direct, coderivation, linfty) over arities 1..max_arity."""
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
-    snap = s.snapshot(max_arity).unprimed_version()
-    tables, scale = _scaled_tables(snap, max_arity)
+    unprimed = s.unprimed_version()
+    tables, scale = _scaled_tables(unprimed, max_arity)
     windows: dict[str, dict[Word, Vector]] = {check: {} for check in checks}
     records: dict[str, list[CheckRecord]] = {check: [] for check in checks}
     for arity in range(1, max_arity + 1):
         walked: dict[int, list] = {}  # this arity's top sums, dropped after its cells
         for check in checks:
             if check == "linfty":
-                failures = _linfty_cell(snap.space, arity, tables, scale, walked)
+                defects = _linfty_cell(s.space, arity, tables, walked)
             else:
-                failures = _sweep_one(snap, check, arity, windows[check], tables, scale, walked)
-            records[check].append(_to_record(snap.space, check, arity, failures))
+                defects = _sweep_one(unprimed, check, arity, windows[check], tables, walked)
+            records[check].append(_to_record(s.space, check, arity, defects, scale))
     return Report(
         structure=s.name,
         convention=s.space.convention,

@@ -11,11 +11,14 @@ defining identities are implemented side by side:
   and evaluates D(D(word)), which must vanish.
 
 The per-word functions here are the reference oracle and compute in
-``Fraction``.  This module runs no sweep: the one driver in ``_backend``
-walks the pairs of unprimed table entries, scaled to integers, that build
-the direct terms, once per arity for every check; Lemma 2's top sum of
-D(D(x)) is that sum times the desuspension sign of x, and every other
-coderivation defect is summed from these one-letter parts.
+``Fraction``.  Each reads as the formula it checks: ``stasheff_defect``
+sums the signed compositions through ``apply_map``, and ``d_squared`` is
+``d_apply`` applied twice.  This module runs no sweep: the one driver in
+``_backend`` walks the pairs of unprimed table entries, scaled to
+integers, that build the direct terms, once per arity for every check;
+Lemma 2's top sum of D(D(x)) is that sum times the desuspension sign of
+x, and every other coderivation defect is summed from these one-letter
+parts.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .graded import (
     normalize_vector,
     word_degree,
 )
-from .signs import _alpha_parity, desusp_word_sign, susp_iso_sign
+from .signs import alpha_sign, desusp_word_sign, pass_operator_sign, susp_iso_sign
 
 # Internal sweep representation: arity -> {word: {basis: coeff}}.
 Tables = dict[int, dict[Word, Vector]]
@@ -261,27 +264,15 @@ def _coderivation_terms(
     of passing it across the prefix: (-1)**(desuspended prefix degree).
     """
     n = len(word)
-    # parities[i] inlines signs.pass_operator_sign(1, desuspended degree of word[:i])
-    parities = [0] * (n + 1)
-    p = 0
-    for i, b in enumerate(word):
-        p ^= (degrees[b] - 1) & 1
-        parities[i + 1] = p
     for k, table in tables.items():
-        if k > n:
-            continue
         for i in range(n - k + 1):
             hit = table.get(word[i : i + k])
             if hit is None:
                 continue
-            pre = word[:i]
-            suf = word[i + k :]
-            negate = parities[i]
+            sign = pass_operator_sign(1, sum(degrees[b] - 1 for b in word[:i]))
             for b, c in hit.items():
-                term = -coeff * c if negate else coeff * c
-                nw = pre + (b,) + suf
-                prev = acc.get(nw)
-                acc[nw] = term if prev is None else prev + term
+                nw = word[:i] + (b,) + word[i + k :]
+                acc[nw] = acc.get(nw, 0) + sign * coeff * c
 
 
 def _prune(acc: dict[Word, Fraction]) -> dict[Word, Fraction]:
@@ -323,69 +314,16 @@ def d_apply(s: AStructure, p: TensorPoly) -> TensorPoly:
     return TensorPoly._raw(s.space, _prune(acc))
 
 
-def _d_squared_raw(
-    tables: Tables, degrees: tuple[int, ...], w: Word
-) -> dict[Word, Fraction]:
-    """D(D(word)) on one unchecked word, as a pruned raw word -> coeff dict.
-
-    The coefficients have the type of the table coefficients: ``Fraction``s
-    from ``d_squared``, its only caller.
-    """
-    first: dict[Word, Fraction] = {}
-    _coderivation_terms(tables, degrees, w, 1, first)
-    acc: dict[Word, Fraction] = {}
-    for word, coeff in first.items():
-        if coeff:
-            _coderivation_terms(tables, degrees, word, coeff, acc)
-    return _prune(acc)
-
-
 def d_squared(s: AStructure, w: Word) -> TensorPoly:
     """D(D(word)); the zero polynomial exactly when the identities hold there."""
     if not s.primed:
         raise InputError("d_squared needs a primed structure")
-    w = tuple(w)
-    s.space.check_word(w)
-    return TensorPoly._raw(
-        s.space, _d_squared_raw(s.tables_up_to(len(w)), s.space.degrees, w)
-    )
+    return d_apply(s, d_apply(s, TensorPoly(s.space, {tuple(w): 1})))
 
 
 # ---------------------------------------------------------------------------
 # direct identity side
 # ---------------------------------------------------------------------------
-
-
-def _stasheff_vec(tables: Tables, degrees: tuple[int, ...], x: Word) -> Vector:
-    """Evaluate the arity-n quadratic identity on one word, as a raw vector."""
-    n = len(x)
-    prefix_sums = [0] * n
-    acc_deg = 0
-    for i in range(n):
-        prefix_sums[i] = acc_deg
-        acc_deg += degrees[x[i]]
-    acc: Vector = {}
-    for lam in range(n):
-        for k in range(1, n - lam + 1):
-            inner_table = tables.get(k)
-            outer_table = tables.get(n - k + 1)
-            if inner_table is None or outer_table is None:
-                continue
-            inner = inner_table.get(x[lam : lam + k])
-            if inner is None:
-                continue
-            negate = _alpha_parity(k, lam, n, prefix_sums[lam])
-            pre = x[:lam]
-            suf = x[lam + k :]
-            for b, c in inner.items():
-                outer = outer_table.get(pre + (b,) + suf)
-                if outer is None:
-                    continue
-                for b2, c2 in outer.items():
-                    term = -c * c2 if negate else c * c2
-                    prev = acc.get(b2)
-                    acc[b2] = term if prev is None else prev + term
-    return {b: c for b, c in acc.items() if c}
 
 
 def stasheff_defect(s: AStructure, x: Word) -> Vector:
@@ -398,4 +336,16 @@ def stasheff_defect(s: AStructure, x: Word) -> Vector:
         raise InputError("the direct identity is evaluated on unprimed maps")
     x = tuple(x)
     s.space.check_word(x)
-    return _stasheff_vec(s.tables_up_to(len(x)), s.space.degrees, x)
+    n = len(x)
+    acc: Vector = {}
+    for lam in range(n):
+        prefix_degree = sum(s.space.degree(b) for b in x[:lam])
+        for k in range(1, n - lam + 1):
+            inner, outer = s.map_at(k), s.map_at(n - k + 1)
+            if inner is None or outer is None:
+                continue
+            sign = alpha_sign(k, lam, n, prefix_degree)
+            for b, c in apply_map(inner, x[lam : lam + k]).items():
+                for b2, c2 in apply_map(outer, x[:lam] + (b,) + x[lam + k :]).items():
+                    acc[b2] = acc.get(b2, 0) + sign * c * c2
+    return {b: c for b, c in acc.items() if c}

@@ -339,25 +339,27 @@ def test_every_check_walks_each_arity_once(monkeypatch):
 
 
 def test_sweeps_never_evaluate_a_word(monkeypatch):
-    """The per-word cores serve only the literal oracles, not the sweeps."""
+    """No sweep runs the literal oracles; every D route goes through one core."""
     calls = []
-    for name in ("_stasheff_vec", "_d_squared_raw"):
-        core = getattr(engine, name)
+    for name in ("stasheff_defect", "_coderivation_terms"):
+        fn = getattr(engine, name)
 
-        def counting(*args, core=core, name=name):
+        def counting(*args, fn=fn, name=name):
             calls.append(name)
-            return core(*args)
+            return fn(*args)
 
         monkeypatch.setattr(engine, name, counting)
     assert verify_structure(example_structure(), 8).passed
     assert not verify_structure(mutated_structure(), 6).passed
     assert not verify_structure(wide_denominator_structure(), 3).passed
+    assert not verify_linfty(mutated_structure(), 4).passed
     assert calls == []
     # the counters do see the oracles
     s = mutated_structure()
-    stasheff_defect(s, (0, 1))
-    d_squared(s.primed_version(), (0, 1))
-    assert calls == ["_stasheff_vec", "_d_squared_raw"]
+    engine.stasheff_defect(s, (0, 1))
+    assert calls == ["stasheff_defect"]
+    engine.d_squared(s.primed_version(), (0, 1))
+    assert len(calls) > 1 and set(calls[1:]) == {"_coderivation_terms"}
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,13 +1,17 @@
-"""Golden corpus: machine reports must keep their pinned sha256 and exit code.
+"""Golden corpus: reports must keep their pinned sha256 and exit code.
 
 Each case in ``corpus/expected.json`` is one CLI invocation; ``--input``
-names a file in ``corpus/``, passed here by its absolute path.  The hashes
-were recorded before the sweep was last refactored; a change that alters
-any report byte fails here.
+names a file in ``corpus/``, passed here by its absolute path.  Cases that
+give no ``--format`` pin the default text report, the others the machine
+report.  The hashes were recorded before the sweep was last refactored; a
+change that alters any report byte fails here.  The benchmark's workloads
+are pinned the same way, by ``perfbench/expected.json``.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,11 @@ from ainfty.cli import run_cli
 
 CORPUS = Path(__file__).parent / "corpus"
 EXPECTED = json.loads((CORPUS / "expected.json").read_text(encoding="utf-8"))
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+BENCH_EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -29,3 +38,17 @@ def test_corpus_report_is_byte_identical(name, capsysbinary):
     report = capsysbinary.readouterr().out
     assert code == case["exit"]
     assert hashlib.sha256(report).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_report_is_byte_identical(name, tmp_path, monkeypatch, capsysbinary):
+    """Each benchmark workload's report keeps the hash its output check pins."""
+    w = workloads.WORKLOADS[name]
+    monkeypatch.chdir(tmp_path)
+    if w.generated:
+        text, _ = workloads.dense_broken(workloads.DEFAULT_SEED)
+        (tmp_path / workloads.DENSE_INPUT).write_bytes(text.encode("utf-8"))
+    code = run_cli(w.cli_args())
+    report = capsysbinary.readouterr().out
+    assert code == w.expected_exit
+    assert hashlib.sha256(report).hexdigest() == BENCH_EXPECTED[name]

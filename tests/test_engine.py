@@ -419,6 +419,13 @@ def test_verify_mode_validation():
 def test_verify_accepts_primed_families_too():
     report = verify_structure(example_structure(primed=True), 3, mode="both")
     assert report.passed
+    # a failing family reports the same failures from either side of the transfer
+    s = mutated_structure()
+    primed = s.primed_version()
+    report = verify_structure(s, 5, mode="both")
+    assert not report.passed
+    assert verify_structure(primed, 5, mode="both") == report
+    assert verify_linfty(primed, 4) == verify_linfty(s, 4)
 
 
 # ---------------------------------------------------------------------------

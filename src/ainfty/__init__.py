@@ -37,13 +37,9 @@ from .formats import parse_structure, serialize_structure
 from .graded import (
     BasisElement,
     GradedSpace,
-    Scalar,
     TensorPoly,
     Vector,
     Word,
-    permute_word,
-    poly_add,
-    poly_scale,
     word_degree,
 )
 from .linfty import (
@@ -78,7 +74,6 @@ __all__ = [
     "MultiMap",
     "ParseError",
     "Report",
-    "Scalar",
     "SymMultiMap",
     "TensorPoly",
     "Vector",
@@ -100,9 +95,6 @@ __all__ = [
     "linfty_defect",
     "parse_structure",
     "pass_operator_sign",
-    "permute_word",
-    "poly_add",
-    "poly_scale",
     "prime",
     "s_sign",
     "serialize_structure",

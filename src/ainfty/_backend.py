@@ -226,23 +226,21 @@ def _sweep_one(
     """Sweep one A-infinity (check, arity) cell and return its nonzero defects.
 
     ``check`` is ``direct`` or ``coderivation``.  Both read the nonzero
-    ``_top_sums`` S(x) of the arity, and the direct check reports them.
+    ``_top_sums`` S(x) of the arity, and the direct check returns them.
     The coderivation check adds each R(x) = sigma(x) * S(x)
     (``_desuspended``), the one-letter part of D(D(x)), to ``windows``, the
-    bad windows of its lower arities.  D(D(.)) is again a coderivation, of
-    even degree, so at a word P + x + S it is the sum over the windows x of
-    P + R(x) + S, with no sign; every defect is assembled from these
-    placements.  ``tables`` are the integer tables of the unprimed
-    ``structure`` (``_scaled_tables``).
+    bad windows of its lower arities; only this check reads or writes
+    ``windows``.  D(D(.)) is again a coderivation, of even degree, so at a
+    word P + x + S it is the sum over the windows x of P + R(x) + S, with
+    no sign; every defect is assembled from these placements.  ``tables``
+    are the integer tables of the unprimed ``structure`` (``_scaled_tables``).
     """
     degrees = structure.space.degrees
     sums = _walked_sums(tables, degrees, arity, walked)
+    if check == "direct":
+        return {x: {(b,): c for b, c in top.items()} for x, top in sums}
+    windows.update(_desuspended(sums, degrees))
     defects: Defects = {}
-    if check == "coderivation":
-        windows.update(_desuspended(sums, degrees))
-    else:
-        for x, top in sums:
-            defects[x] = {(b,): c for b, c in top.items()}
     letters = range(structure.space.dim)
     for x, top in windows.items():
         pad = arity - len(x)
@@ -297,7 +295,7 @@ def _sweep(s: AStructure, max_arity: int, checks: tuple[str, ...]) -> Report:
         raise InputError("max_arity must be >= 1")
     unprimed = s.unprimed_version()
     tables, scale = _scaled_tables(unprimed, max_arity)
-    windows: dict[str, dict[Word, Vector]] = {check: {} for check in checks}
+    windows: dict[Word, Vector] = {}  # the coderivation check's bad windows
     records: dict[str, list[CheckRecord]] = {check: [] for check in checks}
     for arity in range(1, max_arity + 1):
         walked: dict[int, list] = {}  # this arity's top sums, dropped after its cells
@@ -305,7 +303,7 @@ def _sweep(s: AStructure, max_arity: int, checks: tuple[str, ...]) -> Report:
             if check == "linfty":
                 defects = _linfty_cell(s.space, arity, tables, walked)
             else:
-                defects = _sweep_one(unprimed, check, arity, windows[check], tables, walked)
+                defects = _sweep_one(unprimed, check, arity, windows, tables, walked)
             records[check].append(_to_record(s.space, check, arity, defects, scale))
     return Report(
         structure=s.name,

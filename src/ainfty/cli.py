@@ -39,7 +39,7 @@ def _load_structure(args) -> AStructure:
             ) from None
         # the report names the file, not the path it was reached by
         return parse_structure(text, name=os.path.basename(args.input))
-    name = args.builtin or "paper-example"
+    name = "paper-example" if args.builtin is None else args.builtin
     try:
         factory = BUILTIN_STRUCTURES[name]
     except KeyError:
@@ -60,9 +60,9 @@ def _add_structure_args(p: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _parse_word(s: AStructure, text: str) -> tuple[int, ...]:
-    names = [t.strip() for t in text.split(",") if t.strip()]
-    if not names:
-        raise AinftyError("empty word")
+    names = [t.strip() for t in text.split(",")]
+    if "" in names:
+        raise AinftyError(f"--word {text!r} has an empty letter")
     return tuple(s.space.index(nm) for nm in names)
 
 

@@ -203,14 +203,10 @@ class AStructure:
             raise InputError("a generator-backed family has no finite arity list")
         return sorted(k for k, m in self._maps.items() if m is not None)
 
-    def arities_up_to(self, n: int) -> list[int]:
-        return [k for k in range(1, n + 1) if self.map_at(k) is not None]
-
     def tables_up_to(self, n: int) -> Tables:
-        out: Tables = {}
-        for k in self.arities_up_to(n):
-            out[k] = self.map_at(k).table
-        return out
+        """The tables of the maps of arity 1..n, by arity."""
+        maps = {k: self.map_at(k) for k in range(1, n + 1)}
+        return {k: m.table for k, m in maps.items() if m is not None}
 
     def primed_version(self) -> "AStructure":
         if self.primed:

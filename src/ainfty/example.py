@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .engine import AStructure, MultiMap, apply_map, coderivation_apply, d_squared, prime
 from .errors import InputError
-from .graded import BasisElement, GradedSpace, TensorPoly, Vector, Word, poly_add
+from .graded import BasisElement, GradedSpace, TensorPoly, Vector, Word
 from .signs import s_sign
 
 EXAMPLE_SPACE = GradedSpace(
@@ -115,21 +115,15 @@ def lemma2_top_sum_check(n: int) -> bool:
     structure = example_structure(primed=True)
     maps = {k: structure.map_at(k) for k in range(1, n + 1)}
     for word in EXAMPLE_SPACE.basis_words(n):
-        full = d_squared(structure, word)
-        restricted = TensorPoly(EXAMPLE_SPACE)
+        restricted = {}
         for j in range(1, n + 1):
             i = n + 1 - j
             mid = coderivation_apply(maps[j], word)
             for mid_word, coeff in mid.terms.items():
                 # mid_word has arity n - j + 1 == i; the closing map takes
                 # it whole, with no prefix to pass (sign +1)
-                vec = apply_map(maps[i], mid_word)
-                restricted = poly_add(
-                    restricted,
-                    TensorPoly(
-                        EXAMPLE_SPACE, {(b,): coeff * c for b, c in vec.items()}
-                    ),
-                )
-        if full != restricted:
+                for b, c in apply_map(maps[i], mid_word).items():
+                    restricted[(b,)] = restricted.get((b,), 0) + coeff * c
+        if d_squared(structure, word) != TensorPoly(EXAMPLE_SPACE, restricted):
             return False
     return True

@@ -13,12 +13,13 @@ Representation choices, shared package-wide:
   only at parse and report boundaries,
 * a word is a tuple of basis indices (arity = length >= 1),
 * a vector is a sparse ``{index: coefficient}`` dict with no stored zeros,
-* a tensor polynomial is a sparse ``{word: coefficient}`` dict whose words
-  may have different arities, wrapped together with its space.
+* a tensor polynomial (``TensorPoly``) is a sparse ``{word: coefficient}``
+  dict whose words may have different arities, wrapped together with its
+  space; it supports ``+``, ``-`` and scalar ``*``.
 
 All values are immutable after construction (tuples, frozen dataclasses) or
 treated as immutable by convention (the dicts inside vectors and
-polynomials); every operation is a pure function.
+polynomials); every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -26,13 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import InputError
-
-# Exact rational scalar.  Fraction already guarantees lowest terms and a
-# positive denominator, which is exactly the normalization we need.
-Scalar = Fraction
 
 # A tensor word: basis indices, most significant (leftmost factor) first.
 Word = tuple[int, ...]
@@ -125,30 +122,10 @@ class GradedSpace:
         return tuple(self.elements[i].name for i in w)
 
 
-def word_degree(space: GradedSpace, w: Word, desuspended: bool = False) -> int:
-    """Total degree of a word: sum of letter degrees.
-
-    With ``desuspended`` set, each letter is read in the shifted space and
-    contributes its degree minus one.
-    """
+def word_degree(space: GradedSpace, w: Word) -> int:
+    """Total degree of a word: sum of letter degrees."""
     space.check_word(w)
-    total = sum(space.elements[i].degree for i in w)
-    return total - len(w) if desuspended else total
-
-
-def permute_word(w: Word, sigma: tuple[int, ...]) -> Word:
-    """Move letter ``i`` of ``w`` to position ``sigma[i]``.
-
-    This is the orientation matching ``signs.koszul_permutation_sign``: the
-    sign of the move is computed from degrees at the letters' original
-    positions.
-    """
-    if len(w) != len(sigma):
-        raise InputError("permutation length must match word arity")
-    out = [0] * len(w)
-    for i, p in enumerate(sigma):
-        out[p] = w[i]
-    return tuple(out)
+    return sum(space.elements[i].degree for i in w)
 
 
 def normalize_vector(v: Mapping[int, Fraction | int]) -> Vector:
@@ -171,20 +148,13 @@ class TensorPoly:
 
     __slots__ = ("space", "terms")
 
-    def __init__(
-        self,
-        space: GradedSpace,
-        terms: Mapping[Word, Fraction | int] | Iterable[tuple[Word, Fraction | int]] = (),
-    ):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, space: GradedSpace, terms: Mapping[Word, Fraction | int] = {}):
         normalized: dict[Word, Fraction] = {}
-        for w, c in items:
+        for w, c in terms.items():
             space.check_word(w)
             c = Fraction(c)
             if c:
-                normalized[w] = normalized.get(w, Fraction(0)) + c
-                if not normalized[w]:
-                    del normalized[w]
+                normalized[w] = c
         self.space = space
         self.terms = normalized
 
@@ -207,13 +177,27 @@ class TensorPoly:
     __hash__ = None  # not hashable; term dicts are mutable containers
 
     def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        return poly_add(self, other)
+        """Coefficient-wise sum, normalized."""
+        if self.space != other.space:
+            raise InputError("cannot add polynomials over different spaces")
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            s = out.get(w, Fraction(0)) + c
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+        return TensorPoly._raw(self.space, out)
 
     def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return poly_add(self, poly_scale(Fraction(-1), other))
+        return self + -1 * other
 
     def __rmul__(self, c) -> "TensorPoly":
-        return poly_scale(c, self)
+        """Every coefficient multiplied by ``c``, normalized."""
+        c = Fraction(c)
+        if not c:
+            return TensorPoly._raw(self.space, {})
+        return TensorPoly._raw(self.space, {w: c * x for w, x in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -223,25 +207,3 @@ class TensorPoly:
             names = ",".join(self.space.word_names(w))
             bits.append(f"{self.terms[w]} ({names})")
         return "TensorPoly(" + " + ".join(bits) + ")"
-
-
-def poly_add(a: TensorPoly, b: TensorPoly) -> TensorPoly:
-    """Coefficient-wise sum, normalized."""
-    if a.space != b.space:
-        raise InputError("cannot add polynomials over different spaces")
-    out = dict(a.terms)
-    for w, c in b.terms.items():
-        s = out.get(w, Fraction(0)) + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return TensorPoly._raw(a.space, out)
-
-
-def poly_scale(c, p: TensorPoly) -> TensorPoly:
-    """Every coefficient multiplied by ``c``, normalized."""
-    c = Fraction(c)
-    if not c:
-        return TensorPoly._raw(p.space, {})
-    return TensorPoly._raw(p.space, {w: c * x for w, x in p.terms.items()})

@@ -184,7 +184,7 @@ def _prop_split_word_decomposition(data):
     left = concat(
         d_apply(s, TensorPoly(EXAMPLE_SPACE, {u: 1})), TensorPoly(EXAMPLE_SPACE, {v: 1})
     )
-    sign = -1 if word_degree(EXAMPLE_SPACE, u, desuspended=True) % 2 else 1
+    sign = -1 if (word_degree(EXAMPLE_SPACE, u) - len(u)) % 2 else 1
     right = concat(
         TensorPoly(EXAMPLE_SPACE, {u: 1}), d_apply(s, TensorPoly(EXAMPLE_SPACE, {v: 1}))
     )

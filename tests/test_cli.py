@@ -341,11 +341,18 @@ def test_apply_word_arity_mismatch_exits_two(capsys):
     assert capsys.readouterr().err
 
 
-def test_apply_unknown_letter_exits_two(capsys):
-    code = run_cli(["apply", "--builtin", "paper-example", "--arity", "1",
-                    "--word", "zz"])
+@pytest.mark.parametrize("argv", [
+    ["apply", "--builtin", "paper-example", "--arity", "1", "--word", "zz"],
+    ["apply", "--builtin", "paper-example", "--arity", "2", "--word", "v1,,v2"],
+    ["d2", "--builtin", "paper-example", "--word", ",v1,v2,"],
+])
+def test_apply_unknown_letter_exits_two(argv, capsys):
+    code = run_cli(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    capsys.readouterr()
+    assert captured.out == ""
+    # an unknown or empty letter is no basis name; the message quotes the input
+    assert repr(argv[-1]) in captured.err
 
 
 def test_apply_requires_a_structure(capsys):
@@ -386,10 +393,13 @@ def test_linfty_mutated_fails(broken_file, capsys):
     assert "result: FAIL" in capsys.readouterr().out
 
 
-def test_unknown_builtin_exits_two(capsys):
-    code = run_cli(["verify", "--builtin", "nope", "--max-arity", "2"])
+@pytest.mark.parametrize("name", ["nope", ""])
+def test_unknown_builtin_exits_two(name, capsys):
+    code = run_cli(["verify", "--builtin", name, "--max-arity", "2"])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "unknown builtin" in capsys.readouterr().err
+    assert f"unknown builtin {name!r}" in captured.err
+    assert captured.out == ""
 
 
 def test_help_exits_zero(capsys):

@@ -305,15 +305,14 @@ def straddle_terms(s: AStructure, u: tuple, v: tuple) -> TensorPoly:
     """Terms of D(u + v) whose window starts in u and ends in v."""
     word = u + v
     terms: dict = {}
-    for k in s.arities_up_to(len(word)):
-        table = s.map_at(k).table
+    for k, table in s.tables_up_to(len(word)).items():
         for i in range(len(word) - k + 1):
             if not (i < len(u) < i + k):
                 continue
             hit = table.get(word[i : i + k])
             if hit is None:
                 continue
-            sign = (-1) ** (word_degree(s.space, word[:i], desuspended=True) & 1) if i else 1
+            sign = (-1) ** ((word_degree(s.space, word[:i]) - i) & 1) if i else 1
             for b, c in hit.items():
                 nw = word[:i] + (b,) + word[i + k :]
                 terms[nw] = terms.get(nw, Fraction(0)) + sign * c
@@ -327,7 +326,7 @@ def test_split_word_decomposition_of_d(data):
     u = data.draw(words_over(EXAMPLE_SPACE, max_arity=3))
     v = data.draw(words_over(EXAMPLE_SPACE, max_arity=3))
     du_v = concat(d_apply(s, TensorPoly(EXAMPLE_SPACE, {u: 1})), TensorPoly(EXAMPLE_SPACE, {v: 1}))
-    sign = -1 if word_degree(EXAMPLE_SPACE, u, desuspended=True) % 2 else 1
+    sign = -1 if (word_degree(EXAMPLE_SPACE, u) - len(u)) % 2 else 1
     u_dv = concat(TensorPoly(EXAMPLE_SPACE, {u: 1}), d_apply(s, TensorPoly(EXAMPLE_SPACE, {v: 1})))
     expected = du_v + sign * u_dv + straddle_terms(s, u, v)
     assert d_apply(s, TensorPoly(EXAMPLE_SPACE, {u + v: 1})) == expected
@@ -341,7 +340,7 @@ def one_position(mp: MultiMap, word: tuple, pos: int, coeff: Fraction) -> dict:
         return {}
     sign = 1
     if pos:
-        sign = -1 if word_degree(mp.space, word[:pos], desuspended=True) % 2 else 1
+        sign = -1 if (word_degree(mp.space, word[:pos]) - pos) % 2 else 1
     return {
         word[:pos] + (b,) + word[pos + k :]: sign * coeff * c for b, c in hit.items()
     }
@@ -371,9 +370,9 @@ def test_d_squared_output_is_degree_homogeneous(data):
     s = mutated_structure().primed_version()
     x = data.draw(words_over(EXAMPLE_SPACE, max_arity=4))
     out = d_squared(s, x)
-    expected = word_degree(EXAMPLE_SPACE, x, desuspended=True) + 2
+    expected = word_degree(EXAMPLE_SPACE, x) - len(x) + 2
     for w in out.terms:
-        assert word_degree(EXAMPLE_SPACE, w, desuspended=True) == expected
+        assert word_degree(EXAMPLE_SPACE, w) - len(w) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +449,7 @@ def test_structure_validates_members():
 def test_generator_backed_structure_materializes_lazily():
     s = example_structure()
     assert s.map_at(6) == example_m(6)
-    assert s.arities_up_to(3) == [1, 2, 3]
+    assert list(s.tables_up_to(3)) == [1, 2, 3]
     assert not s.is_finite
     snap = s.snapshot(4)
     assert snap.is_finite and snap.arities == [1, 2, 3, 4]

@@ -247,7 +247,7 @@ def test_linfty_defect_matches_permutation_oracle_on_failures():
     ]:
         primed = s.primed_version()
         family = [
-            symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(max_arity)
+            symmetrize_prime(primed.map_at(k)) for k in primed.tables_up_to(max_arity)
         ]
         seen = 0
         for n in range(1, max_arity + 1):
@@ -427,7 +427,7 @@ def test_jacobi_defect_is_graded_symmetric(s, n):
     """
     space = s.space
     primed = s.primed_version()
-    family = [symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(4)]
+    family = [symmetrize_prime(primed.map_at(k)) for k in primed.tables_up_to(4)]
     ddeg = [d - 1 for d in space.degrees]
     jac = {y: linfty_defect(family, y).terms for y in space.basis_words(n)}
     for y, value in jac.items():
@@ -460,7 +460,7 @@ def test_jacobi_defect_is_symmetrized_top_sum(s, n):
     defect off the symmetrized one-letter parts of D(D(.)).
     """
     primed = s.primed_version()
-    family = [symmetrize_prime(primed.map_at(k)) for k in primed.arities_up_to(n)]
+    family = [symmetrize_prime(primed.map_at(k)) for k in primed.tables_up_to(n)]
     # R(x): the one-letter part of D(D(x)), from the literal oracle
     windows = {}
     for x in s.space.basis_words(n):

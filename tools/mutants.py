@@ -1,0 +1,159 @@
+"""Run a fixed list of one-line mutants against a fast subset of the tests.
+
+Usage: python3 tools/mutants.py
+
+The script copies ``src/``, ``tests/``, ``perfbench/`` (the corpus tests
+read its workloads) and ``pyproject.toml`` into a temporary directory.
+For each mutant it rewrites one line of one module there, runs ``SUBSET``
+under ``pytest -x`` with a limit of ``TIMEOUT`` seconds, and restores the
+module.  It prints one line per mutant: killed, survived or timed out.
+
+Each mutant names a source substring that must occur exactly once in its
+file.  A substring that occurs zero times or more than once is a stale
+anchor: the script reports it and exits 2 before running anything, so a
+refactor cannot silently turn a mutant into a no-op.  It also exits 2 if
+the unmutated subset fails.  Otherwise the exit code is 1 if any mutant
+survived, else 0.
+
+``test_acceptance`` is not in the subset: a sign mutant that breaks the
+built-in example makes its arity-20 coderivation sweep place bad windows
+without bound.  Needs pytest and hypothesis, nothing else.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+TIMEOUT = 300.0  # seconds per run of SUBSET
+SUBSET = (
+    "tests/test_signs.py",
+    "tests/test_corpus.py",
+    "tests/test_backend.py",
+    "tests/test_engine.py",
+    "tests/test_linfty.py",
+    "tests/test_example.py",
+    "tests/test_cli.py",
+)
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    anchor: str  # must occur exactly once in the file
+    replacement: str
+
+
+MUTANTS = (
+    # one per function of signs.py
+    Mutant("sign_of: parity flipped", "src/ainfty/signs.py",
+           "return -1 if exponent % 2 else 1", "return 1 if exponent % 2 else -1"),
+    Mutant("koszul_permutation_sign: non-inversions counted", "src/ainfty/signs.py",
+           "if sigma[i] > sigma[j]:", "if sigma[i] < sigma[j]:"),
+    Mutant("pass_operator_sign: degrees added", "src/ainfty/signs.py",
+           "return sign_of(op_degree * passed_degree)",
+           "return sign_of(op_degree + passed_degree)"),
+    Mutant("susp_iso_sign: n(n+1)/2", "src/ainfty/signs.py",
+           "return sign_of(n * (n - 1) // 2)", "return sign_of(n * (n + 1) // 2)"),
+    Mutant("desusp_word_sign: negated", "src/ainfty/signs.py",
+           "return sign_of(_desusp_parity(degrees))",
+           "return sign_of(_desusp_parity(degrees) + 1)"),
+    Mutant("_desusp_parity: weight n - i", "src/ainfty/signs.py",
+           "(n - 1 - i) * d", "(n - i) * d"),
+    Mutant("_alpha_parity: k*lam dropped", "src/ainfty/signs.py",
+           "(k + lam + k * lam + k * n + k * prefix_degree_sum) & 1",
+           "(k + lam + k * n + k * prefix_degree_sum) & 1"),
+    Mutant("alpha_sign: prefix degree ignored", "src/ainfty/signs.py",
+           "return sign_of(_alpha_parity(k, lam, n, prefix_degree_sum))",
+           "return sign_of(_alpha_parity(k, lam, n, 0))"),
+    Mutant("s_sign: shifted by one", "src/ainfty/signs.py",
+           "return sign_of((n + 1) * (n + 2) // 2)", "return sign_of(n * (n + 1) // 2)"),
+    # the sweeps' index arithmetic, the oracle's prefix sign and the report
+    Mutant("_symmetrize: stabilizer = 1", "src/ainfty/_backend.py",
+           "stabilizer = prod(factorial(w.count(b)) for b in set(w))", "stabilizer = 1"),
+    Mutant("_top_sums: lam = 0 sign dropped", "src/ainfty/_backend.py",
+           "negate = _alpha_parity(k, 0, n, 0)", "negate = 0"),
+    Mutant("_sweep_one: last placement offset dropped", "src/ainfty/_backend.py",
+           "for i in range(pad + 1):", "for i in range(pad):"),
+    Mutant("_to_record: defect terms sorted by word only", "src/ainfty/_backend.py",
+           "for dw in sorted(defect, key=lambda dw: (len(dw), dw))",
+           "for dw in sorted(defect)"),
+    Mutant("_symmetrize: odd-repeat cancellation dropped", "src/ainfty/_backend.py",
+           "if len(odd) != len(set(odd)):", "if False:"),
+    Mutant("_desuspended: sigma(x) ignored", "src/ainfty/_backend.py",
+           "if _desusp_parity([degrees[a] for a in x]):", "if False:"),
+    Mutant("_coderivation_terms: prefix read undesuspended", "src/ainfty/engine.py",
+           "sum(degrees[b] - 1 for b in word[:i])", "sum(degrees[b] for b in word[:i])"),
+    Mutant("emit_report: digit bound off by one", "src/ainfty/report.py",
+           "abs(c.numerator) >= bound", "abs(c.numerator) > bound"),
+    Mutant("emit_report: machine verdict always pass", "src/ainfty/report.py",
+           '"pass": report.passed,', '"pass": True,'),
+)
+
+
+def stale_anchors(mutants: tuple[Mutant, ...]) -> list[str]:
+    out = []
+    for m in mutants:
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.anchor)
+        if count != 1:
+            out.append(f"{m.name}: anchor occurs {count} times in {m.path}: {m.anchor!r}")
+    return out
+
+
+def run_subset(work: Path) -> str:
+    """``passed``, ``failed`` or ``timed out`` for one run of SUBSET in ``work``."""
+    shutil.rmtree(work / ".hypothesis", ignore_errors=True)  # no replay across mutants
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *SUBSET]
+    try:
+        proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    return "passed" if proc.returncode == 0 else "failed"
+
+
+def main() -> int:
+    stale = stale_anchors(MUTANTS)
+    if stale:
+        print("stale anchors:", *stale, sep="\n  ")
+        return 2
+    with tempfile.TemporaryDirectory(prefix="ainfty-mutants-") as tmp:
+        work = Path(tmp)
+        for item in COPIED:
+            src = ROOT / item
+            if src.is_dir():
+                shutil.copytree(src, work / item, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, work / item)
+        t0 = time.perf_counter()
+        baseline = run_subset(work)
+        print(f"baseline: {baseline} ({time.perf_counter() - t0:.1f} s)")
+        if baseline != "passed":
+            return 2
+        survivors = 0
+        for m in MUTANTS:
+            path = work / m.path
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(m.anchor, m.replacement), encoding="utf-8")
+            t0 = time.perf_counter()
+            try:
+                outcome = run_subset(work)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            verdict = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
+            survivors += verdict == "survived"
+            print(f"{verdict:9} {time.perf_counter() - t0:6.1f} s  {m.name}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {survivors} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

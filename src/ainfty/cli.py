@@ -18,9 +18,8 @@ from .engine import AStructure, apply_map, d_squared, prime
 from .errors import AinftyError, InputError
 from .example import BUILTIN_STRUCTURES, lemma1_check
 from .formats import parse_structure
-from .graded import TensorPoly, Vector
 from .linfty import verify_linfty
-from .report import emit_report
+from .report import _format_terms, emit_report
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -64,21 +63,6 @@ def _parse_word(s: AStructure, text: str) -> tuple[int, ...]:
     if "" in names:
         raise AinftyError(f"--word {text!r} has an empty letter")
     return tuple(s.space.index(nm) for nm in names)
-
-
-def _format_vector(s: AStructure, vec: Vector) -> str:
-    if not vec:
-        return "0"
-    return " + ".join(f"{c} {s.space.name(b)}" for b, c in sorted(vec.items()))
-
-
-def _format_poly(p: TensorPoly) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for w in sorted(p.terms, key=lambda w: (len(w), w)):
-        bits.append(f"{p.terms[w]} {','.join(p.space.word_names(w))}")
-    return " + ".join(bits)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,10 +177,8 @@ def _cmd_apply(args) -> int:
     m = s.map_at(args.arity)
     if args.primed and m is not None and not m.primed:
         m = prime(m)
-    if m is None:
-        print("0")
-        return EXIT_PASS
-    print(_format_vector(s, apply_map(m, word)))
+    vec = {} if m is None else apply_map(m, word)
+    print(_format_terms((c, (s.space.name(b),)) for b, c in sorted(vec.items())))
     return EXIT_PASS
 
 
@@ -204,7 +186,8 @@ def _cmd_d2(args) -> int:
     s = _load_structure(args)
     word = _parse_word(s, args.word)
     result = d_squared(s.primed_version(), word)
-    print(_format_poly(result))
+    words = sorted(result.terms, key=lambda w: (len(w), w))
+    print(_format_terms((result.terms[w], result.space.word_names(w)) for w in words))
     return EXIT_PASS if result.is_zero() else EXIT_FAIL
 
 

@@ -1,4 +1,4 @@
-"""The line-oriented structure-file format.
+r"""The line-oriented structure-file format.
 
 The format is deliberately plain text so that signs and words can be read
 off against a table by eye:
@@ -14,40 +14,46 @@ off against a table by eye:
     map 2: v1 v2 -> 1 v1 + -2/3 w
 
 Sections must appear in this order: the header line, the convention line,
-one or more basis lines, then any number of map lines.  Coefficients are
-integers or ``p/q`` rationals; every integer (coefficient part, degree or
-arity) is ASCII ``[+-]?[0-9]+``.  A basis name holds no whitespace, ``#``,
-``+`` or ``->``, which the map lines use as separators, and no ``,``,
-which separates the letters of a word on the command line and in text
-reports.  A file declaring
-``convention chain`` has its degrees negated on the way in (and back on
-the way out), so the engine always runs one internal convention.
+one or more basis lines, then any number of map lines.  Lines end only at
+``\n``, ``\r\n`` or ``\r``, as in a file read in text mode.  Degrees and
+arities are ASCII ``[+-]?[0-9]+``.  Coefficients are integers or ``p/q``
+rationals whose parts are ASCII ``-?[0-9]+``: ``+`` separates terms, so no
+part can carry it.  A basis name holds no whitespace, ``#``, ``+`` or
+``->``, which the map lines use as separators, and no ``,``, which
+separates the letters of a word on the command line and in text reports.
+A file declaring ``convention chain`` has its degrees negated on the way
+in (and back on the way out), so the engine always runs one internal
+convention.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterator
 
 from .engine import AStructure, MultiMap
 from .errors import InputError, ParseError
-from .graded import BasisElement, GradedSpace, Vector, Word
+from .graded import CONVENTIONS, BasisElement, GradedSpace, Vector, Word
 
 HEADER = "ainfty v1"
-
-
 _INT = re.compile(r"[+-]?[0-9]+")
+# the line ends that open() reads in text mode; str.splitlines() would also
+# end a line at U+2028, a form feed and six other characters
+_LINE_END = re.compile(r"\r\n?|\n")
+_CONVENTION_LINES = {f"convention {c}": c for c in CONVENTIONS}
 
 
-def _int(token: str) -> int:
-    """``int(token)`` for ASCII ``[+-]?[0-9]+`` only.
+def _int(token: str) -> int | None:
+    """``int(token)`` for ASCII ``[+-]?[0-9]+`` only, else None.
 
     ``int()`` alone also reads ``1_0`` as 10 and accepts any Unicode
-    decimal digit; this raises ``ValueError`` on those instead.
+    decimal digit; past ``sys.get_int_max_str_digits()`` it raises.
     """
-    if not _INT.fullmatch(token):
-        raise ValueError(token)
-    return int(token)
+    try:
+        return int(token) if _INT.fullmatch(token) else None
+    except ValueError:
+        return None
 
 
 def _name_error(name: str) -> str | None:
@@ -57,127 +63,118 @@ def _name_error(name: str) -> str | None:
     return None
 
 
-def _parse_coeff(token: str, lineno: int) -> Fraction:
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Number and content of each line that is not blank once its comment is cut."""
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _basis_element(line: str, convention: str) -> BasisElement:
+    parts = line.split()
+    if len(parts) != 3:
+        raise InputError("expected 'basis <name> <integer-degree>'")
+    _, name, token = parts
+    degree = _int(token)
+    if degree is None:
+        raise InputError(f"malformed degree {token!r}")
+    if why := _name_error(name):
+        raise InputError(why)
+    return BasisElement(name, -degree if convention == "chain" else degree)
+
+
+def _space(basis: dict[str, BasisElement], convention: str) -> GradedSpace:
+    if not basis:
+        raise InputError("expected at least one basis line")
+    return GradedSpace(tuple(basis.values()), convention=convention)
+
+
+def _coeff(token: str) -> Fraction:
     num, slash, den = token.partition("/")
-    try:
-        return Fraction(_int(num), _int(den) if slash else 1)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed rational {token!r}", lineno) from None
+    p, q = _int(num), _int(den) if slash else 1
+    if p is None or not q:
+        raise InputError(f"malformed rational {token!r}")
+    return Fraction(p, q)
+
+
+def _map_entry(line: str, space: GradedSpace) -> tuple[Word, Vector]:
+    """The input word of a map line and its output, zero terms dropped."""
+    if line.split()[0] != "map":
+        raise InputError(f"unexpected line {line!r}")
+    head, colon, rest = line.partition(":")
+    parts = head.split()
+    if not colon or len(parts) != 2:
+        raise InputError("expected 'map <k>: ...'")
+    arity = _int(parts[1])
+    if arity is None:
+        raise InputError(f"malformed arity {parts[1]!r}")
+    if arity < 1:
+        raise InputError("map arity must be >= 1")
+    lhs, arrow, rhs = rest.partition("->")
+    if not arrow:
+        raise InputError("missing '->'")
+    in_names = lhs.split()
+    if len(in_names) != arity:
+        raise InputError(f"expected {arity} input names, found {len(in_names)}")
+    word = tuple(space.index(nm) for nm in in_names)
+    out_degree = sum(space.degree(i) for i in word) + 2 - arity
+    vec: dict[int, Fraction] = {}
+    for term in rhs.split("+"):
+        bits = term.split()
+        if len(bits) != 2:
+            raise InputError(f"expected '<coeff> <name>' term, found {term.strip()!r}")
+        coeff = _coeff(bits[0])
+        b = space.index(bits[1])
+        if space.degree(b) != out_degree:
+            raise InputError(
+                f"inhomogeneous entry: output {bits[1]} breaks deg(out) = deg(in) + 2 - k"
+            )
+        vec[b] = vec.get(b, 0) + coeff
+    return word, {b: c for b, c in vec.items() if c}
 
 
 def parse_structure(text: str, name: str = "structure") -> AStructure:
     """Parse structure-file text; raises ParseError with the offending line."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
-    if not lines:
-        raise ParseError("empty file", 1)
-
-    pos = 0
-    lineno, line = lines[pos]
-    if line != HEADER:
-        raise ParseError(f"expected header {HEADER!r}", lineno)
-    pos += 1
-
-    if pos >= len(lines):
-        raise ParseError("missing convention line", lineno)
-    lineno, line = lines[pos]
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "convention" or parts[1] not in ("cochain", "chain"):
-        raise ParseError("expected 'convention cochain' or 'convention chain'", lineno)
-    convention = parts[1]
-    pos += 1
-
-    elements = []
-    while pos < len(lines) and lines[pos][1].split()[0] == "basis":
-        lineno, line = lines[pos]
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError("expected 'basis <name> <integer-degree>'", lineno)
-        try:
-            degree = _int(parts[2])
-        except ValueError:
-            raise ParseError(f"malformed degree {parts[2]!r}", lineno) from None
-        if convention == "chain":
-            degree = -degree
-        if why := _name_error(parts[1]):
-            raise ParseError(why, lineno)
-        try:
-            elements.append(BasisElement(parts[1], degree))
-        except InputError as exc:
-            raise ParseError(str(exc), lineno) from None
-        pos += 1
-    if not elements:
-        raise ParseError("expected at least one basis line", lines[pos - 1][0] if pos else 1)
-    try:
-        space = GradedSpace(tuple(elements), convention=convention)
-    except InputError as exc:
-        raise ParseError(str(exc), lines[pos - 1][0]) from None
-
+    header = False
+    convention = space = None
+    basis: dict[str, BasisElement] = {}
     tables: dict[int, dict[Word, Vector]] = {}
-    seen: dict[tuple[int, Word], int] = {}
-    while pos < len(lines):
-        lineno, line = lines[pos]
-        if line.split()[0] != "map":
-            raise ParseError(f"unexpected line {line!r}", lineno)
-        head, colon, rest = line.partition(":")
-        if not colon:
-            raise ParseError("expected 'map <k>: ...'", lineno)
-        parts = head.split()
-        if len(parts) != 2:
-            raise ParseError("expected 'map <k>: ...'", lineno)
-        try:
-            arity = _int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed arity {parts[1]!r}", lineno) from None
-        if arity < 1:
-            raise ParseError("map arity must be >= 1", lineno)
-        lhs, arrow, rhs = rest.partition("->")
-        if not arrow:
-            raise ParseError("missing '->'", lineno)
-        in_names = lhs.split()
-        if len(in_names) != arity:
-            raise ParseError(
-                f"expected {arity} input names, found {len(in_names)}", lineno
-            )
-        try:
-            word = tuple(space.index(nm) for nm in in_names)
-        except InputError as exc:
-            raise ParseError(str(exc), lineno) from None
-        in_degree = sum(space.degree(i) for i in word)
-        vec: dict[int, Fraction] = {}
-        for term in rhs.split("+"):
-            bits = term.split()
-            if len(bits) != 2:
-                raise ParseError(
-                    f"expected '<coeff> <name>' term, found {term.strip()!r}", lineno
-                )
-            coeff = _parse_coeff(bits[0], lineno)
-            try:
-                b = space.index(bits[1])
-            except InputError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if space.degree(b) != in_degree + 2 - arity:
-                raise ParseError(
-                    f"inhomogeneous entry: output {bits[1]} breaks "
-                    f"deg(out) = deg(in) + 2 - k",
-                    lineno,
-                )
-            vec[b] = vec.get(b, Fraction(0)) + coeff
-        key = (arity, word)
-        if key in seen:
-            raise ParseError(
-                f"duplicate map entry for {' '.join(in_names)} "
-                f"(first on line {seen[key]})",
-                lineno,
-            )
-        seen[key] = lineno
-        vec = {b: c for b, c in vec.items() if c}
-        if vec:
-            tables.setdefault(arity, {})[word] = vec
-        pos += 1
+    first_line: dict[Word, int] = {}
+    lineno = 1
+    try:
+        for lineno, line in _content_lines(text):
+            if not header:
+                if line != HEADER:
+                    raise InputError(f"expected header {HEADER!r}")
+                header = True
+            elif convention is None:
+                convention = _CONVENTION_LINES.get(" ".join(line.split()))
+                if convention is None:
+                    raise InputError("expected " + " or ".join(map(repr, _CONVENTION_LINES)))
+            elif space is None and line.split()[0] == "basis":
+                element = _basis_element(line, convention)
+                if element.name in basis:
+                    raise InputError(f"duplicate basis name {element.name!r}")
+                basis[element.name] = element
+            else:
+                if space is None:
+                    space = _space(basis, convention)
+                word, vec = _map_entry(line, space)
+                if word in first_line:
+                    raise InputError(
+                        f"duplicate map entry for {' '.join(space.word_names(word))} "
+                        f"(first on line {first_line[word]})"
+                    )
+                first_line[word] = lineno
+                if vec:
+                    tables.setdefault(len(word), {})[word] = vec
+        if convention is None:
+            raise InputError("missing convention line" if header else "empty file")
+        if space is None:
+            space = _space(basis, convention)
+    except InputError as exc:
+        raise ParseError(str(exc), lineno) from None
 
     maps = {k: MultiMap(space, k, table) for k, table in tables.items()}
     return AStructure(space, maps=maps, primed=False, name=name)

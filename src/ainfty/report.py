@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,8 +55,8 @@ class Report:
         return sum(len(rec.failures) for rec in self.checks)
 
 
-def _format_terms(defect: tuple[DefectTerm, ...]) -> str:
-    return " + ".join(f"{c} {','.join(w)}" for c, w in defect) or "0"
+def _format_terms(terms: Iterable[DefectTerm]) -> str:
+    return " + ".join(f"{c} {','.join(w)}" for c, w in terms) or "0"
 
 
 def emit_report(report: Report, format: str = "text") -> bytes:

@@ -19,6 +19,7 @@ from ainfty import (
 )
 from ainfty.cli import run_cli
 from test_engine import mutated_structure, truncated_example
+from test_formats import SEPARATORS
 
 V1, V2, W = 0, 1, 2
 
@@ -94,6 +95,20 @@ def test_verify_parse_error_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 4" in err
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_verify_ignores_separators_inside_comments(sep, tmp_path, capsys):
+    """The commented-out entry would make m_1 m_1 (a) = c."""
+    path = tmp_path / "sep.astr"
+    path.write_text(
+        "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\nbasis c 2\n"
+        f"map 1: b -> 1 c\n# off{sep}map 1: a -> 1 b\n",
+        encoding="utf-8",
+    )
+    code = run_cli(["verify", "--input", str(path), "--max-arity", "2"])
+    assert code == 0
+    assert "result: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

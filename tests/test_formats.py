@@ -106,6 +106,47 @@ def test_parse_accepts_only_ascii_integers(text, line):
     assert exc.value.line == line
 
 
+# str.splitlines() also ends a line at each of these; a file read in text
+# mode ends lines only at \n, \r\n and \r
+SEPARATORS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_separators_inside_comments_end_no_line(sep):
+    s = parse_structure(
+        f"ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\n# off{sep}map 1: a -> 1 b\n"
+    )
+    assert s.arities == []
+    text = f"ainfty v1\nconvention cochain\nbasis a 0\n# x{sep} y\nbasis b 1\nmap 1: a -> 1 q\n"
+    with pytest.raises(ParseError, match="unknown basis name 'q'") as exc:
+        parse_structure(text)
+    assert exc.value.line == 6
+
+
+AB_HEADER = "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (
+            "ainfty v1\nconvention cochain\nbasis a 0\nbasis a 1\nbasis b 0\nbasis c 0\n",
+            4,
+            "duplicate basis name 'a'",
+        ),
+        ("ainfty v1\nconvention cochain\nmap 1: a -> 1 a\n", 3, "at least one basis line"),
+        # '+' separates terms, so no part of a coefficient can carry one
+        (AB_HEADER + "map 1: a -> +1 b\n", 5, "found ''"),
+        (AB_HEADER + "map 1: a -> 1/+2 b\n", 5, "found '1/'"),
+    ],
+    ids=["duplicate-basis-name", "map-before-basis", "plus-coeff", "plus-denominator"],
+)
+def test_parse_error_names_its_own_line(text, line, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_structure(text)
+    assert exc.value.line == line
+
+
 def test_parse_signed_ascii_integers():
     s = parse_structure(
         "ainfty v1\nconvention cochain\nbasis a +0\nbasis b -1\n"

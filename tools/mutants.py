@@ -42,6 +42,7 @@ SUBSET = (
     "tests/test_linfty.py",
     "tests/test_example.py",
     "tests/test_cli.py",
+    "tests/test_formats.py",
 )
 
 
@@ -96,6 +97,19 @@ MUTANTS = (
            "abs(c.numerator) >= bound", "abs(c.numerator) > bound"),
     Mutant("emit_report: machine verdict always pass", "src/ainfty/report.py",
            '"pass": report.passed,', '"pass": True,'),
+    # one per rule of the structure-file parser
+    Mutant("_content_lines: str.splitlines() line ends", "src/ainfty/formats.py",
+           "enumerate(_LINE_END.split(text), start=1)", "enumerate(text.splitlines(), start=1)"),
+    Mutant("_int: any Unicode decimal digit", "src/ainfty/formats.py",
+           '_INT = re.compile(r"[+-]?[0-9]+")', '_INT = re.compile(r"[+-]?\\d+")'),
+    Mutant("_basis_element: chain degrees not negated", "src/ainfty/formats.py",
+           '-degree if convention == "chain" else degree', "degree"),
+    Mutant("_map_entry: homogeneity unchecked", "src/ainfty/formats.py",
+           "if space.degree(b) != out_degree:", "if False:"),
+    Mutant("parse_structure: duplicate map entries accepted", "src/ainfty/formats.py",
+           "if word in first_line:", "if False:"),
+    Mutant("parse_structure: duplicate basis names accepted", "src/ainfty/formats.py",
+           "if element.name in basis:", "if False:"),
 )
 
 

@@ -276,14 +276,15 @@ def _to_record(
 ) -> CheckRecord:
     """The cell's record: failing words in order, defects divided by ``scale**2``."""
     denominator = scale * scale
+    names = tuple(el.name for el in space.elements)
     recs = []
     for word in sorted(defects):
         defect = defects[word]
         terms = tuple(
-            (Fraction(defect[dw], denominator), space.word_names(dw))
+            (Fraction(defect[dw], denominator), tuple(map(names.__getitem__, dw)))
             for dw in sorted(defect, key=lambda dw: (len(dw), dw))
         )
-        recs.append(Failure(word=space.word_names(word), defect=terms))
+        recs.append(Failure(word=tuple(map(names.__getitem__, word)), defect=terms))
     return CheckRecord(
         check=check, arity=arity, words=space.dim**arity, failures=tuple(recs)
     )

@@ -7,6 +7,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import InputError
 
@@ -59,69 +60,74 @@ def _format_terms(terms: Iterable[DefectTerm]) -> str:
     return " + ".join(f"{c} {','.join(w)}" for c, w in terms) or "0"
 
 
+def _text(report: Report) -> str:
+    lines = [
+        f"structure: {report.structure}",
+        f"convention: {report.convention}",
+        f"max arity: {report.max_arity}",
+    ]
+    for rec in report.checks:
+        lines.append(
+            f"check {rec.check}, arity {rec.arity}: "
+            f"{rec.words} words, {len(rec.failures)} failures"
+        )
+        for f in rec.failures:
+            lines.append(f"  word {','.join(f.word)}: defect {_format_terms(f.defect)}")
+    verdict = "PASS" if report.passed else "FAIL"
+    total_words = sum(rec.words for rec in report.checks)
+    lines.append(f"result: {verdict} ({report.failure_count} failures in {total_words} words)")
+    return "\n".join(lines) + "\n"
+
+
+_I = tuple("\n" + "  " * depth for depth in range(9))  # line start at each depth
+
+
+def _json_list(items: Iterable[str], depth: int) -> str:
+    body = ("," + _I[depth + 1]).join(items)
+    return f"[{_I[depth + 1]}{body}{_I[depth]}]" if body else "[]"
+
+
+def _machine(report: Report) -> str:
+    """``json.dumps(indent=2)`` of the report as nested dicts, written record by record."""
+    q = cache(json.dumps)  # each basis name quoted once per report
+    checks = []
+    for rec in report.checks:
+        failures = []
+        for f in rec.failures:
+            terms = [
+                f'{{{_I[7]}"coeff": "{c}",{_I[7]}"word": {_json_list(map(q, w), 7)}{_I[6]}}}'
+                for c, w in f.defect
+            ]
+            failures.append(
+                f'{{{_I[5]}"word": {_json_list(map(q, f.word), 5)},'
+                f'{_I[5]}"defect": {_json_list(terms, 5)}{_I[4]}}}'
+            )
+        checks.append(
+            f'{{{_I[3]}"check": {json.dumps(rec.check)},{_I[3]}"arity": {rec.arity},'
+            f'{_I[3]}"words": {rec.words},{_I[3]}"failures": {_json_list(failures, 3)}{_I[2]}}}'
+        )
+    return (
+        f'{{{_I[1]}"structure": {json.dumps(report.structure)},'
+        f'{_I[1]}"convention": {json.dumps(report.convention)},'
+        f'{_I[1]}"max_arity": {report.max_arity},{_I[1]}"pass": {json.dumps(report.passed)},'
+        f'{_I[1]}"checks": {_json_list(checks, 1)}\n}}\n'
+    )
+
+
 def emit_report(report: Report, format: str = "text") -> bytes:
     """Render a report as bytes: ``text`` for humans, ``machine`` for tools.
 
     Both renderings are deterministic (no timestamps, fixed ordering), so
-    re-emission of the same report is byte-identical.  A defect coefficient
-    with more digits than ``sys.get_int_max_str_digits()`` allows (0: no
-    limit) raises ``InputError`` before anything is rendered.
+    re-emission of the same report is byte-identical.  An integer with more
+    digits than ``sys.get_int_max_str_digits()`` allows raises ``InputError``.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        bound = 10**limit
-        for rec in report.checks:
-            for f in rec.failures:
-                for c, _ in f.defect:
-                    if abs(c.numerator) >= bound or c.denominator >= bound:
-                        raise InputError(
-                            f"the report would print a coefficient of more than "
-                            f"{limit} digits (sys.get_int_max_str_digits())"
-                        )
-    if format == "text":
-        lines = [
-            f"structure: {report.structure}",
-            f"convention: {report.convention}",
-            f"max arity: {report.max_arity}",
-        ]
-        for rec in report.checks:
-            lines.append(
-                f"check {rec.check}, arity {rec.arity}: "
-                f"{rec.words} words, {len(rec.failures)} failures"
-            )
-            for f in rec.failures:
-                lines.append(
-                    f"  word {','.join(f.word)}: defect {_format_terms(f.defect)}"
-                )
-        verdict = "PASS" if report.passed else "FAIL"
-        total_words = sum(rec.words for rec in report.checks)
-        lines.append(
-            f"result: {verdict} ({report.failure_count} failures in {total_words} words)"
-        )
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if format == "machine":
-        doc = {
-            "structure": report.structure,
-            "convention": report.convention,
-            "max_arity": report.max_arity,
-            "pass": report.passed,
-            "checks": [
-                {
-                    "check": rec.check,
-                    "arity": rec.arity,
-                    "words": rec.words,
-                    "failures": [
-                        {
-                            "word": list(f.word),
-                            "defect": [
-                                {"coeff": str(c), "word": list(w)} for c, w in f.defect
-                            ],
-                        }
-                        for f in rec.failures
-                    ],
-                }
-                for rec in report.checks
-            ],
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-    raise ValueError(f"unknown report format {format!r}")
+    if format not in ("text", "machine"):
+        raise ValueError(f"unknown report format {format!r}")
+    try:  # nothing is returned until the whole report is rendered
+        rendered = _machine(report) if format == "machine" else _text(report)
+    except ValueError:  # str() of an int past the limit
+        raise InputError(
+            f"the report would print an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
+        ) from None
+    return rendered.encode("utf-8")

@@ -1,17 +1,21 @@
 """Structure-file parsing, exact serialization round trips, report emission."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ainfty import (
     AStructure,
     BasisElement,
+    CheckRecord,
+    Failure,
     GradedSpace,
     InputError,
     MultiMap,
     ParseError,
+    Report,
     emit_report,
     example_m,
     parse_structure,
@@ -302,3 +306,77 @@ def test_emit_report_unknown_format():
     report = verify_structure(parse_structure(EXAMPLE_FILE), 1, mode="direct")
     with pytest.raises(ValueError):
         emit_report(report, format="xml")
+
+
+def machine_oracle(report):
+    """The machine layout as ``json.dumps(indent=2)`` writes the report's nested dict."""
+    doc = {
+        "structure": report.structure,
+        "convention": report.convention,
+        "max_arity": report.max_arity,
+        "pass": report.passed,
+        "checks": [
+            {
+                "check": rec.check,
+                "arity": rec.arity,
+                "words": rec.words,
+                "failures": [
+                    {
+                        "word": list(f.word),
+                        "defect": [{"coeff": str(c), "word": list(w)} for c, w in f.defect],
+                    }
+                    for f in rec.failures
+                ],
+            }
+            for rec in report.checks
+        ],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+# names that need JSON escapes: quote, backslash, control characters,
+# U+2028 and non-ASCII (BMP and astral)
+_names = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\u2028\u00e9\u20ac\U0001f600'), st.characters()),
+    max_size=4,
+)
+_words = st.lists(_names, max_size=3).map(tuple)
+_huge = st.integers(min_value=-(10**300), max_value=10**300)
+_coeffs = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, _huge, _huge.filter(bool)),
+    st.sampled_from([Fraction(10**4299), Fraction(-(10**4299)), Fraction(-1, 10**4299)]),
+)
+_failures = st.builds(
+    Failure, word=_words, defect=st.lists(st.tuples(_coeffs, _words), max_size=3).map(tuple)
+)
+_records = st.builds(
+    CheckRecord,
+    check=_names,
+    arity=st.integers(0, 40),
+    words=st.integers(0, 10**40),
+    failures=st.lists(_failures, max_size=3).map(tuple),
+)
+_reports = st.builds(
+    Report,
+    structure=_names,
+    convention=_names,
+    max_arity=st.integers(0, 40),
+    checks=st.lists(_records, max_size=3).map(tuple),
+)
+
+
+@given(_reports)
+@settings(max_examples=150, deadline=None)
+@example(Report("s", "cochain", 1, ()))  # zero checks
+@example(Report("s", "chain", 2, (CheckRecord("direct", 2, 4, ()),)))  # no failures
+@example(Report("s", "cochain", 1, (CheckRecord("direct", 1, 2, (Failure((), ()),)),)))
+@example(
+    Report('a"b\\c\u2028\x01\u00e9', "\x00", 1, (
+        CheckRecord("\U0001f600", 1, 2, (
+            Failure(("a",), ((Fraction(-(10**4299), 3), ()),)),
+        )),
+    ))
+)
+def test_machine_writer_matches_json_dumps(report):
+    assert emit_report(report, format="machine") == machine_oracle(report)

@@ -93,10 +93,14 @@ MUTANTS = (
            "if _desusp_parity([degrees[a] for a in x]):", "if False:"),
     Mutant("_coderivation_terms: prefix read undesuspended", "src/ainfty/engine.py",
            "sum(degrees[b] - 1 for b in word[:i])", "sum(degrees[b] for b in word[:i])"),
-    Mutant("emit_report: digit bound off by one", "src/ainfty/report.py",
-           "abs(c.numerator) >= bound", "abs(c.numerator) > bound"),
-    Mutant("emit_report: machine verdict always pass", "src/ainfty/report.py",
-           '"pass": report.passed,', '"pass": True,'),
+    Mutant("emit_report: digit refusal not caught", "src/ainfty/report.py",
+           "except ValueError:", "except TypeError:"),
+    Mutant("_machine: verdict always pass", "src/ainfty/report.py",
+           "json.dumps(report.passed)", "json.dumps(True)"),
+    Mutant("_json_list: no ',' between records", "src/ainfty/report.py",
+           '("," + _I[depth + 1]).join(items)', "_I[depth + 1].join(items)"),
+    Mutant("_machine: names quoted with repr", "src/ainfty/report.py",
+           "q = cache(json.dumps)", "q = cache(repr)"),
     # one per rule of the structure-file parser
     Mutant("_content_lines: str.splitlines() line ends", "src/ainfty/formats.py",
            "enumerate(_LINE_END.split(text), start=1)", "enumerate(text.splitlines(), start=1)"),

@@ -8,7 +8,7 @@ at every arity, and produces the induced symmetrized (bracket-style) data.
 
 All arithmetic is exact rational.  The sweeps (see ``ainfty._backend``)
 sum the same terms as the public per-word defect functions, but walk the
-pairs of table entries that build them instead of the words.
+(u, lam, v) triples of table entries that build them instead of the words.
 """
 
 from ._backend import active_backend, verify_structure

@@ -3,16 +3,17 @@
 The per-word defect functions in ``engine`` and ``linfty`` are the
 reference implementation.  ``_sweep`` is the one driver of all three
 checks, behind ``verify_structure`` and ``linfty.verify_linfty``: it
-validates the request, scales the unprimed maps, runs each cell, and turns
-the nonzero defects into report records in a deterministic order.
-No cell visits every word.  All share one walk per arity, ``_top_sums``:
-it goes over the (outer entry, position, inner entry) triples of the
-unprimed tables and adds each signed term straight into the direct sum
-S(x) of the word it belongs to, one first letter at a time.  The direct
-cell reports the nonzero S(x); the coderivation cell places, and the
-linfty cell symmetrizes, the one-letter parts R(x) = sigma(x) * S(x) of
-D(D(x)) (``_desuspended``).  Every other word is zero by construction, so
-each record still certifies all ``dim**n`` words.
+validates the request, scales the unprimed maps, walks each arity once,
+hands the sums to each of its cells, and turns the nonzero defects into
+report records in a deterministic order.  No cell visits every word.
+The walk, ``_top_sums``, goes over the (outer entry, position, inner
+entry) triples of the unprimed tables and adds each signed term straight
+into the direct sum S(x) of the word it belongs to, one first letter at a
+time.  The direct cell reports the nonzero S(x); the coderivation cell
+places, and the linfty cell symmetrizes, the one-letter parts
+R(x) = sigma(x) * S(x) of D(D(x)) (``_desuspended``).  Every other word
+is zero by construction, so each record still certifies all ``dim**n``
+words.
 
 All three sweeps run on Python ints.  Each run scales every table
 coefficient by ``scale``, the lcm of all their denominators
@@ -58,9 +59,11 @@ def _top_sums(
     The walk adds +-c_v[b] * m(u) straight into x's sums, one per output
     letter, so only the triples are visited; every other word's sum is empty.
 
-    x starts with v[0] when lam = 0 and with u[0] otherwise, so the triples
-    are walked one first letter at a time: each block's sums are yielded
-    and dropped before the next, and at most dim**(n-1) words are held.
+    x starts with v[0] when lam = 0 and with u[0] otherwise, so the walk
+    takes the triples one first letter at a time: the block accumulator holds
+    the sums of at most dim**(n-1) words and is dropped before the next block.
+    Each block's nonzero sums are yielded, and the driver keeps them all
+    for the arity's cells.
     """
     levels = []
     for k in range(1, n + 1):
@@ -205,41 +208,28 @@ def _symmetrize(table: Mapping[Word, Vector], ddegs: Sequence[int]) -> dict[Word
     return {y: acc for y, acc in pruned.items() if acc}
 
 
-def _walked_sums(
-    tables: Tables, degrees: tuple[int, ...], arity: int, walked: dict[int, list]
-) -> list[tuple[Word, dict[int, int]]]:
-    """The arity's ``_top_sums``, walked by the first cell that needs them."""
-    sums = walked.get(arity)
-    if sums is None:
-        sums = walked[arity] = list(_top_sums(tables, degrees, arity))
-    return sums
-
-
 def _sweep_one(
     structure: AStructure,
     check: str,
     arity: int,
+    sums: list[tuple[Word, dict[int, int]]],
     windows: dict[Word, Vector],
-    tables: Tables,
-    walked: dict[int, list],
 ) -> Defects:
     """Sweep one A-infinity (check, arity) cell and return its nonzero defects.
 
-    ``check`` is ``direct`` or ``coderivation``.  Both read the nonzero
-    ``_top_sums`` S(x) of the arity, and the direct check returns them.
-    The coderivation check adds each R(x) = sigma(x) * S(x)
+    ``check`` is ``direct`` or ``coderivation``, and ``sums`` are the
+    nonzero ``_top_sums`` S(x) of the arity on the integer tables of the
+    unprimed ``structure``.  The direct check returns them.  The
+    coderivation check adds each R(x) = sigma(x) * S(x)
     (``_desuspended``), the one-letter part of D(D(x)), to ``windows``, the
     bad windows of its lower arities; only this check reads or writes
     ``windows``.  D(D(.)) is again a coderivation, of even degree, so at a
     word P + x + S it is the sum over the windows x of P + R(x) + S, with
-    no sign; every defect is assembled from these placements.  ``tables``
-    are the integer tables of the unprimed ``structure`` (``_scaled_tables``).
+    no sign; every defect is assembled from these placements.
     """
-    degrees = structure.space.degrees
-    sums = _walked_sums(tables, degrees, arity, walked)
     if check == "direct":
         return {x: {(b,): c for b, c in top.items()} for x, top in sums}
-    windows.update(_desuspended(sums, degrees))
+    windows.update(_desuspended(sums, structure.space.degrees))
     defects: Defects = {}
     letters = range(structure.space.dim)
     for x, top in windows.items():
@@ -253,22 +243,6 @@ def _sweep_one(
                         acc[w] = acc.get(w, 0) + c
     pruned = {x: {w: c for w, c in acc.items() if c} for x, acc in defects.items()}
     return {x: acc for x, acc in pruned.items() if acc}
-
-
-def _linfty_cell(
-    space: GradedSpace, arity: int, tables: Tables, walked: dict[int, list]
-) -> Defects:
-    """Sweep one linfty cell and return its nonzero Jacobi defects.
-
-    Symmetrization carries the Gerstenhaber bracket to the
-    Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi defect of
-    l = Sym(m') is Sym(R), where R(x) = sigma(x) * S(x) is the one-letter
-    part of D(D(x)).
-    """
-    degrees = space.degrees
-    windows = _desuspended(_walked_sums(tables, degrees, arity, walked), degrees)
-    jacobi = _symmetrize(windows, [d - 1 for d in degrees])
-    return {y: {(b,): c for b, c in vec.items()} for y, vec in jacobi.items()}
 
 
 def _to_record(
@@ -298,13 +272,19 @@ def _sweep(s: AStructure, max_arity: int, checks: tuple[str, ...]) -> Report:
     tables, scale = _scaled_tables(unprimed, max_arity)
     windows: dict[Word, Vector] = {}  # the coderivation check's bad windows
     records: dict[str, list[CheckRecord]] = {check: [] for check in checks}
+    degrees = s.space.degrees
     for arity in range(1, max_arity + 1):
-        walked: dict[int, list] = {}  # this arity's top sums, dropped after its cells
+        sums = list(_top_sums(tables, degrees, arity))  # shared by the arity's cells
         for check in checks:
             if check == "linfty":
-                defects = _linfty_cell(s.space, arity, tables, walked)
+                # Symmetrization carries the Gerstenhaber bracket to the
+                # Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi
+                # defect of l = Sym(m') is Sym(R), where R(x) = sigma(x) * S(x)
+                # is the one-letter part of D(D(x)).
+                jacobi = _symmetrize(_desuspended(sums, degrees), [d - 1 for d in degrees])
+                defects = {y: {(b,): c for b, c in vec.items()} for y, vec in jacobi.items()}
             else:
-                defects = _sweep_one(unprimed, check, arity, windows, tables, walked)
+                defects = _sweep_one(unprimed, check, arity, sums, windows)
             records[check].append(_to_record(s.space, check, arity, defects, scale))
     return Report(
         structure=s.name,

@@ -175,7 +175,7 @@ def _cmd_apply(args) -> int:
             f"--word has {len(word)} letters but --arity is {args.arity}"
         )
     m = s.map_at(args.arity)
-    if args.primed and m is not None and not m.primed:
+    if args.primed and m is not None:
         m = prime(m)
     vec = {} if m is None else apply_map(m, word)
     print(_format_terms((c, (s.space.name(b),)) for b, c in sorted(vec.items())))

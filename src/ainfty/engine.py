@@ -14,11 +14,11 @@ The per-word functions here are the reference oracle and compute in
 ``Fraction``.  Each reads as the formula it checks: ``stasheff_defect``
 sums the signed compositions through ``apply_map``, and ``d_squared`` is
 ``d_apply`` applied twice.  This module runs no sweep: the one driver in
-``_backend`` walks the pairs of unprimed table entries, scaled to
-integers, that build the direct terms, once per arity for every check;
-Lemma 2's top sum of D(D(x)) is that sum times the desuspension sign of
-x, and every other coderivation defect is summed from these one-letter
-parts.
+``_backend`` walks the (u, lam, v) triples of unprimed table entries,
+scaled to integers, that build the direct terms, once per arity for every
+check; Lemma 2's top sum of D(D(x)) is that sum times the desuspension
+sign of x, and every other coderivation defect is summed from these
+one-letter parts.
 """
 
 from __future__ import annotations

@@ -84,6 +84,9 @@ MUTANTS = (
            "negate = _alpha_parity(k, 0, n, 0)", "negate = 0"),
     Mutant("_sweep_one: last placement offset dropped", "src/ainfty/_backend.py",
            "for i in range(pad + 1):", "for i in range(pad):"),
+    Mutant("_sweep_one: lower-arity windows dropped", "src/ainfty/_backend.py",
+           "windows.update(_desuspended(sums, structure.space.degrees))",
+           "windows = _desuspended(sums, structure.space.degrees)"),
     Mutant("_to_record: defect terms sorted by word only", "src/ainfty/_backend.py",
            "for dw in sorted(defect, key=lambda dw: (len(dw), dw))",
            "for dw in sorted(defect)"),

@@ -1,17 +1,20 @@
 """Exact-arithmetic verification of homotopy-associative structure data.
 
 The package represents finite families of multilinear structure maps over a
-graded basis, checks the defining identities two independent ways (the
+graded basis, checks the defining identities in two formulations (the
 direct quadratic identity and the square of the induced tensor-coalgebra
 coderivation), ships a three-element example that carries such a structure
 at every arity, and produces the induced symmetrized (bracket-style) data.
+The literal per-word defect functions of the two formulations are
+independent of each other; ``verify_structure`` derives both verdicts from
+one walk per arity.
 
 All arithmetic is exact rational.  The sweeps (see ``ainfty._backend``)
 sum the same terms as the public per-word defect functions, but walk the
 (u, lam, v) triples of table entries that build them instead of the words.
 """
 
-from ._backend import active_backend, verify_structure
+from ._backend import active_backend, verify_linfty, verify_structure
 from .engine import (
     AStructure,
     MultiMap,
@@ -42,13 +45,7 @@ from .graded import (
     Word,
     word_degree,
 )
-from .linfty import (
-    SymMultiMap,
-    linfty_defect,
-    symmetrize_prime,
-    unshuffles,
-    verify_linfty,
-)
+from .linfty import linfty_defect, symmetrize_prime, unshuffles
 from .report import CheckRecord, Failure, Report, emit_report
 from .signs import (
     alpha_sign,
@@ -74,7 +71,6 @@ __all__ = [
     "MultiMap",
     "ParseError",
     "Report",
-    "SymMultiMap",
     "TensorPoly",
     "Vector",
     "Word",

@@ -2,7 +2,7 @@
 
 The per-word defect functions in ``engine`` and ``linfty`` are the
 reference implementation.  ``_sweep`` is the one driver of all three
-checks, behind ``verify_structure`` and ``linfty.verify_linfty``: it
+checks, behind ``verify_structure`` and ``verify_linfty``: it
 validates the request, scales the unprimed maps, walks each arity once,
 hands the sums to each of its cells, and turns the nonzero defects into
 report records in a deterministic order.  No cell visits every word.
@@ -305,3 +305,8 @@ def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Repor
     if checks is None:
         raise InputError(f"unknown mode {mode!r}")
     return _sweep(s, max_arity, checks)
+
+
+def verify_linfty(s: AStructure, max_arity: int) -> Report:
+    """Sweep the Jacobi relations of the symmetrized maps over arities 1..max_arity."""
+    return _sweep(s, max_arity, ("linfty",))

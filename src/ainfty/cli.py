@@ -13,12 +13,11 @@ import math
 import os
 import sys
 
-from ._backend import verify_structure
+from ._backend import verify_linfty, verify_structure
 from .engine import AStructure, apply_map, d_squared, prime
 from .errors import AinftyError, InputError
 from .example import BUILTIN_STRUCTURES, lemma1_check
 from .formats import parse_structure
-from .linfty import verify_linfty
 from .report import _format_terms, emit_report
 
 EXIT_PASS = 0

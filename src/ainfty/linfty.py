@@ -1,84 +1,64 @@
-"""Skew-symmetrization of the transferred maps and the induced bracket checks.
+"""The symmetrization of the transferred maps and the literal Jacobi oracle.
 
-The transferred maps live on the desuspended side, where they have degree
-1 and symmetrization uses plain Koszul signs: the symmetrized map is the
-sum of the original over all signed permutations of its inputs
-(``symmetrize_prime``, over ``_backend._symmetrize``).  ``linfty_defect``
-checks the generalized Jacobi identity on one word in unshuffle form,
-summing l_j(l_i(block) tensor rest) over all (i, n-i)-unshuffles with
-i + j = n + 1; it is the literal oracle.  The sweep, ``verify_linfty``, is
-the linfty check of the one driver in ``_backend``: it symmetrizes the
-one-letter parts of D(D(x)), the direct top sums times the sign of x, and
-never builds the symmetrized maps.  Un-priming the symmetrized family back
-to the unshifted space is deliberately not offered; conventions for that
-step vary and nothing here needs it.
+Both act on primed ``MultiMap``s: the transferred maps live on the
+desuspended side, where they have degree 1 and symmetrization uses plain
+Koszul signs.  ``symmetrize_prime`` sums a primed map over all signed
+permutations of its inputs (over ``_backend._symmetrize``) and returns
+the result as another primed map, l_k = Sym(m'_k).  ``linfty_defect``
+checks the generalized Jacobi identity of such a family on one word in
+unshuffle form, summing l_j(l_i(block) tensor rest) over all
+(i, n-i)-unshuffles with i + j = n + 1; it is the literal oracle.  The
+sweep, ``_backend.verify_linfty``, never builds the symmetrized maps.
+Un-priming the symmetrized family back to the unshifted space is
+deliberately not offered; conventions for that step vary and nothing
+here needs it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from ._backend import _sweep, _symmetrize
-from .engine import AStructure, MultiMap
+from ._backend import _symmetrize
+from .engine import MultiMap
 from .errors import InputError
 from .graded import GradedSpace, TensorPoly, Vector, Word
-from .report import Report
 from .signs import koszul_permutation_sign, pass_operator_sign
 
 
-@dataclass(frozen=True)
-class SymMultiMap:
-    """A graded-symmetric degree-1 map on desuspended words.
+def _check_graded_symmetric(space: GradedSpace, table: Mapping[Word, Vector]) -> None:
+    """Raise unless swapping two adjacent letters multiplies by their Koszul sign.
 
-    Construction verifies the symmetry certificate: swapping two adjacent
-    letters multiplies the value by the Koszul sign of the swap.  Adjacent
-    transpositions generate all permutations, so this pins full graded
-    symmetry.
+    Adjacent transpositions generate all permutations, so this pins full
+    graded symmetry on the desuspended letter degrees.
     """
-
-    space: GradedSpace
-    arity: int
-    table: Mapping[Word, Vector] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise InputError("arity must be >= 1")
-        for w in self.table:
-            if len(w) != self.arity:
-                raise InputError("table word arity mismatch")
-            self.space.check_word(w)
-        self._certify()
-
-    def _certify(self) -> None:
-        degs = self.space.degrees
-        for w, vec in self.table.items():
-            for pos in range(self.arity - 1):
-                swapped = list(w)
-                swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-                sign = pass_operator_sign(degs[w[pos]] - 1, degs[w[pos + 1]] - 1)
-                other = self.table.get(tuple(swapped), {})
-                expected = {b: sign * c for b, c in vec.items()}
-                if expected != dict(other):
-                    raise InputError(
-                        f"table is not graded-symmetric at {w} <-> {tuple(swapped)}"
-                    )
-
-    def value(self, w: Word) -> Vector:
-        return dict(self.table.get(tuple(w), {}))
+    degs = space.degrees
+    for w, vec in table.items():
+        for pos in range(len(w) - 1):
+            swapped = list(w)
+            swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
+            sign = pass_operator_sign(degs[w[pos]] - 1, degs[w[pos + 1]] - 1)
+            other = table.get(tuple(swapped), {})
+            expected = {b: sign * c for b, c in vec.items()}
+            if expected != dict(other):
+                raise InputError(
+                    f"table is not graded-symmetric at {w} <-> {tuple(swapped)}"
+                )
 
 
-def symmetrize_prime(mp: MultiMap) -> SymMultiMap:
+def symmetrize_prime(mp: MultiMap) -> MultiMap:
     """Sum a transferred map over all Koszul-signed permutations of its inputs.
 
-    See ``_backend._symmetrize``; the result is certified graded-symmetric.
+    See ``_backend._symmetrize``.  The result is a primed map, checked
+    graded-symmetric before it is returned.
     """
     if not mp.primed:
         raise InputError("symmetrization is defined for primed maps")
     ddegs = [d - 1 for d in mp.space.degrees]
-    return SymMultiMap(mp.space, mp.arity, _symmetrize(mp.table, ddegs))
+    table = _symmetrize(mp.table, ddegs)
+    _check_graded_symmetric(mp.space, table)
+    return MultiMap(mp.space, mp.arity, table, primed=True)
 
 
 def unshuffles(i: int, r: int) -> list[tuple[int, ...]]:
@@ -93,8 +73,8 @@ def unshuffles(i: int, r: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _family_by_arity(family: Iterable[SymMultiMap]) -> dict[int, SymMultiMap]:
-    by_arity: dict[int, SymMultiMap] = {}
+def _family_by_arity(family: Iterable[MultiMap]) -> dict[int, MultiMap]:
+    by_arity: dict[int, MultiMap] = {}
     for m in family:
         if m.arity in by_arity:
             raise InputError(f"two maps of arity {m.arity} in one family")
@@ -102,8 +82,8 @@ def _family_by_arity(family: Iterable[SymMultiMap]) -> dict[int, SymMultiMap]:
     return by_arity
 
 
-def linfty_defect(family: Iterable[SymMultiMap], y: Word) -> TensorPoly:
-    """The generalized Jacobi defect of a symmetric family on one word.
+def linfty_defect(family: Iterable[MultiMap], y: Word) -> TensorPoly:
+    """The generalized Jacobi defect of a family of symmetrized maps on one word.
 
     Sums l_j(l_i(selected block) tensor rest) over all unshuffle selections
     with i + j = arity + 1, each weighted by the Koszul sign of pulling the
@@ -138,7 +118,3 @@ def linfty_defect(family: Iterable[SymMultiMap], y: Word) -> TensorPoly:
                     acc[b2] = acc.get(b2, Fraction(0)) + sign * c * c2
     return TensorPoly(space, {(b,): c for b, c in acc.items() if c})
 
-
-def verify_linfty(s: AStructure, max_arity: int) -> Report:
-    """Sweep the Jacobi relations of the symmetrized maps over arities 1..max_arity."""
-    return _sweep(s, max_arity, ("linfty",))

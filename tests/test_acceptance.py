@@ -78,6 +78,14 @@ def test_criterion_2_direct_sweep_to_arity_6_agrees(capsys):
         assert set(direct) == set(coder) == set(range(1, 7))
         for arity in range(1, 7):
             assert direct[arity] == coder[arity] == ()
+        # both sweep records come from one walk per arity, so they cannot
+        # disagree; the literal per-word oracles of the two formulations can
+        s = example_structure()
+        primed = s.primed_version()
+        words = [w for n in range(1, 7) for w in s.space.basis_words(n)]
+        assert len(words) == 1092
+        assert all(not stasheff_defect(s, w) for w in words)
+        assert all(d_squared(primed, w).is_zero() for w in words)
         ok = True
     finally:
         _verdict(2, "direct identity vanishes through arity 6, both checks agree", ok)

@@ -18,7 +18,7 @@ from ainfty import (
     InputError,
     MultiMap,
     Report,
-    SymMultiMap,
+    apply_map,
     d_squared,
     example_mprime,
     example_structure,
@@ -46,9 +46,10 @@ def example_family(max_arity: int):
 
 def test_symmetrize_spec_values():
     l2 = symmetrize_prime(example_mprime(2))
-    assert l2.value((V1, V2)) == {V1: 1}
-    assert l2.value((V2, V1)) == {V1: -1}
-    assert l2.value((W, V1)) == {W: 1}
+    assert l2.primed
+    assert apply_map(l2, (V1, V2)) == {V1: 1}
+    assert apply_map(l2, (V2, V1)) == {V1: -1}
+    assert apply_map(l2, (W, V1)) == {W: 1}
 
 
 def test_symmetrize_requires_primed():
@@ -58,13 +59,21 @@ def test_symmetrize_requires_primed():
         symmetrize_prime(example_m(2))
 
 
+# v1 and v2 both have desuspended degree -1, so a symmetric table needs
+# l(v2, v1) == -l(v1, v2); this one has l(v2, v1) == +l(v1, v2)
+ASYMMETRIC = {(V1, V2): {V1: Fraction(1)}, (V2, V1): {V1: Fraction(1)}}
+
+
 def test_symmetric_map_certificate_rejects_asymmetry():
-    # v1 and v2 both have desuspended degree -1, so a symmetric table needs
-    # value(v2, v1) == -value(v1, v2)
-    with pytest.raises(InputError):
-        SymMultiMap(
-            EXAMPLE_SPACE, 2, {(V1, V2): {V1: Fraction(1)}, (V2, V1): {V1: Fraction(1)}}
-        )
+    with pytest.raises(InputError, match="not graded-symmetric"):
+        linfty._check_graded_symmetric(EXAMPLE_SPACE, ASYMMETRIC)
+
+
+def test_symmetrize_prime_runs_the_certificate(monkeypatch):
+    # a symmetrization bug that breaks symmetry must not yield a map
+    monkeypatch.setattr(linfty, "_symmetrize", lambda table, ddegs: dict(ASYMMETRIC))
+    with pytest.raises(InputError, match="not graded-symmetric"):
+        symmetrize_prime(example_mprime(2))
 
 
 def bubble_sign(degrees, word_from, word_to):
@@ -89,11 +98,11 @@ def test_symmetrized_maps_are_graded_symmetric(n):
     ln = symmetrize_prime(example_mprime(n))
     ddeg = [EXAMPLE_SPACE.degree(b) - 1 for b in range(3)]
     for word in ln.table:
-        base = ln.value(word)
+        base = apply_map(ln, word)
         for perm in itertools.permutations(word):
             sign = bubble_sign(ddeg, word, perm)
             expected = {b: sign * c for b, c in base.items()}
-            assert ln.value(perm) == expected
+            assert apply_map(ln, perm) == expected
 
 
 def oracle_symmetrize(mp):
@@ -131,8 +140,10 @@ def oracle_symmetrize(mp):
 def test_symmetrization_certificate_holds_on_random_maps(data):
     # dim <= 4 and arity <= 4, so words with repeated letters occur
     mp = data.draw(homogeneous_multimaps(max_arity=4, primed=True))
-    # construction runs the certificate; reaching here means it passed
+    # symmetrize_prime runs the symmetry certificate before it returns, so
+    # reaching the asserts means the certificate passed
     ln = symmetrize_prime(mp)
+    assert ln.primed
     assert ln.arity == mp.arity
     assert ln.table == oracle_symmetrize(mp)
 
@@ -216,8 +227,8 @@ def oracle_defect(family, y):
                 continue
             sign = bubble_sign(degs, tuple(range(n)), order)
             picked = tuple(y[p] for p in order)
-            for b, c in inner.value(picked[:i]).items():
-                for b2, c2 in outer.value((b,) + picked[i:]).items():
+            for b, c in apply_map(inner, picked[:i]).items():
+                for b2, c2 in apply_map(outer, (b,) + picked[i:]).items():
                     total[b2] = total.get(b2, Fraction(0)) + sign * c * c2
     return {b: c for b, c in total.items() if c}
 
@@ -261,10 +272,10 @@ def test_linfty_defect_matches_permutation_oracle_on_failures():
 def test_linfty_defect_single_map_family_is_composition_square():
     m1 = symmetrize_prime(example_mprime(1))
     for y in EXAMPLE_SPACE.basis_words(1):
-        inner = m1.value(y)
+        inner = apply_map(m1, y)
         expected = {}
         for b, c in inner.items():
-            for b2, c2 in m1.value((b,)).items():
+            for b2, c2 in apply_map(m1, (b,)).items():
                 expected[b2] = expected.get(b2, Fraction(0)) + c * c2
         expected = {b: c for b, c in expected.items() if c}
         got = linfty_defect([m1], y)
@@ -286,8 +297,8 @@ def test_linfty_mixed_spaces_rejected():
     def space(dim):
         return GradedSpace(tuple(BasisElement(f"e{i}", 0) for i in range(dim)))
 
-    l_a = SymMultiMap(space(2), 1, {})
-    l_b = SymMultiMap(space(3), 2, {})
+    l_a = MultiMap(space(2), 1, {}, primed=True)
+    l_b = MultiMap(space(3), 2, {}, primed=True)
     with pytest.raises(InputError):
         linfty_defect([l_a, l_b], (0, 1))
 
@@ -334,7 +345,7 @@ def oracle_linfty_report(s, max_arity: int) -> Report:
     space = s.space
     primed = s.primed_version()
     family = [
-        SymMultiMap(space, k, oracle_symmetrize(primed.map_at(k)))
+        MultiMap(space, k, oracle_symmetrize(primed.map_at(k)), primed=True)
         for k in range(1, max_arity + 1)
         if primed.map_at(k) is not None
     ]

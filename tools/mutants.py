@@ -96,6 +96,17 @@ MUTANTS = (
            "if _desusp_parity([degrees[a] for a in x]):", "if False:"),
     Mutant("_coderivation_terms: prefix read undesuspended", "src/ainfty/engine.py",
            "sum(degrees[b] - 1 for b in word[:i])", "sum(degrees[b] for b in word[:i])"),
+    # the transfer, whose sign bugs move all three sweep verdicts together so
+    # that only the literal oracles and the corpus see them, and the linfty oracle
+    Mutant("_transfer: desuspension sign dropped", "src/ainfty/engine.py",
+           "s = susp_iso_sign(k) * desusp_word_sign(degs) * susp_iso_sign(k)",
+           "s = susp_iso_sign(k) * susp_iso_sign(k)"),
+    Mutant("linfty_defect: unshuffle sign dropped", "src/ainfty/linfty.py",
+           "sign = koszul_permutation_sign([degs[p] for p in order], order)", "sign = 1"),
+    Mutant("_check_graded_symmetric: swap sign ignored", "src/ainfty/linfty.py",
+           "sign = pass_operator_sign(degs[w[pos]] - 1, degs[w[pos + 1]] - 1)", "sign = 1"),
+    Mutant("symmetrize_prime: check skipped", "src/ainfty/linfty.py",
+           "_check_graded_symmetric(mp.space, table)", "pass"),
     Mutant("emit_report: digit refusal not caught", "src/ainfty/report.py",
            "except ValueError:", "except TypeError:"),
     Mutant("_machine: verdict always pass", "src/ainfty/report.py",

@@ -37,7 +37,7 @@ from .engine import AStructure, Tables
 from .errors import InputError
 from .graded import GradedSpace, Vector, Word
 from .report import CheckRecord, Failure, Report
-from .signs import _alpha_parity, _desusp_parity, koszul_permutation_sign
+from .signs import _alpha_parity, _desusp_parity, pass_operator_sign
 
 # a cell's failing words: input word -> {defect word: scaled coefficient}
 Defects = dict[Word, dict[Word, int]]
@@ -152,25 +152,27 @@ def _scaled_tables(structure: AStructure, max_arity: int) -> tuple[Tables, int]:
     return scaled, scale
 
 
-def _rearrangements(w: Word) -> Iterable[Word]:
-    """The distinct rearrangements of w, in lexicographic order.
+def _signed_rearrangements(w: Word, ddegs: Sequence[int]) -> Iterator[tuple[Word, int]]:
+    """The distinct rearrangements y of w in lexicographic order, with their signs.
 
-    Multiset next-permutation: each distinct word once, not once per
-    permutation that produces it.
+    y is built one letter b at a time, always from the first copy of b
+    left in w, so equal letters keep their order.  That copy passes the
+    letters still left in front of it, and the sign gains
+    ``pass_operator_sign`` of b's degree against their degree sum: the
+    Koszul sign of the one sigma with y[i] = w[sigma[i]] that keeps equal
+    letters in order.  An explicit stack, not recursion, so any length works.
     """
-    a = sorted(w)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
+    stack = [((), tuple(w), 1)]
+    while stack:
+        y, rest, sign = stack.pop()
+        if not rest:
+            yield y, sign
+            continue
+        for b in sorted(set(rest), reverse=True):  # the smallest pops first
+            i = rest.index(b)
+            passed = sum(ddegs[a] for a in rest[:i])
+            step = pass_operator_sign(ddegs[b], passed)
+            stack.append((y + (b,), rest[:i] + rest[i + 1 :], sign * step))
 
 
 def _symmetrize(table: Mapping[Word, Vector], ddegs: Sequence[int]) -> dict[Word, Vector]:
@@ -180,12 +182,13 @@ def _symmetrize(table: Mapping[Word, Vector], ddegs: Sequence[int]) -> dict[Word
     where letter i of y moves to position sigma[i] and ``ddegs`` are the
     desuspended letter degrees.  A term is nonzero only when sigma . y is a
     table entry w, so the sum runs over table entries and their distinct
-    rearrangements y.  The permutations taking y to w differ by swaps of
-    equal letters; such a swap costs the square of the letter's degree.  So
-    an entry that repeats a letter of odd degree cancels, and otherwise
-    each y gets the stabilizer size (the product of the letter
-    multiplicities' factorials) times one Koszul sign.  Coefficients may be
-    ints or ``Fraction``s; the nonzero values are returned.
+    rearrangements y, each listed once with the sign of one sigma by
+    ``_signed_rearrangements``.  The permutations taking y to w differ by
+    swaps of equal letters; such a swap costs the square of the letter's
+    degree.  So an entry that repeats a letter of odd degree cancels, and
+    otherwise each y gets the stabilizer size (the product of the letter
+    multiplicities' factorials) times that sign.  Coefficients may be ints
+    or ``Fraction``s; the nonzero values are returned.
     """
     out: dict[Word, Vector] = {}
     for w, vec in table.items():
@@ -193,17 +196,10 @@ def _symmetrize(table: Mapping[Word, Vector], ddegs: Sequence[int]) -> dict[Word
         if len(odd) != len(set(odd)):
             continue
         stabilizer = prod(factorial(w.count(b)) for b in set(w))
-        slots: dict[int, list[int]] = {}
-        for p, b in enumerate(w):
-            slots.setdefault(b, []).append(p)
-        for y in _rearrangements(w):
-            # one sigma with y[i] = w[sigma[i]]: equal letters keep their order
-            taken = {b: iter(ps) for b, ps in slots.items()}
-            sigma = [next(taken[b]) for b in y]
-            sign = stabilizer * koszul_permutation_sign([ddegs[b] for b in y], sigma)
+        for y, sign in _signed_rearrangements(w, ddegs):
             acc = out.setdefault(y, {})
             for b, c in vec.items():
-                acc[b] = acc.get(b, 0) + sign * c
+                acc[b] = acc.get(b, 0) + stabilizer * sign * c
     pruned = {y: {b: c for b, c in acc.items() if c} for y, acc in out.items()}
     return {y: acc for y, acc in pruned.items() if acc}
 

@@ -2,8 +2,10 @@
 
 Exit codes partition the outcomes: 0 = all requested checks pass, 1 = a
 verification check found a nonzero defect, 2 = usage, input or parse
-error, 3 = internal error (a bug in this package).  Reports go to standard
-output, diagnostics to standard error; no outcome prints a traceback.
+error, 3 = internal error (a bug in this package), 130 = interrupted
+(SIGINT), with one ``interrupted`` line on standard error.  Reports go to
+standard output, diagnostics to standard error; no outcome prints a
+traceback.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ def _add_structure_args(p: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
+def _add_sweep_args(p: argparse.ArgumentParser) -> None:
+    _add_structure_args(p, required=False)
+    p.add_argument("--max-arity", type=int, required=True, metavar="N")
+    p.add_argument("--format", choices=["text", "machine"], default="text")
+
+
 def _parse_word(s: AStructure, text: str) -> tuple[int, ...]:
     names = [t.strip() for t in text.split(",")]
     if "" in names:
@@ -72,14 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="sweep the defining identities over all words")
-    _add_structure_args(p, required=False)
-    p.add_argument("--max-arity", type=int, required=True, metavar="N")
+    _add_sweep_args(p)
     p.add_argument(
         "--check",
         choices=["direct", "coderivation", "both"],
         default="both",
     )
-    p.add_argument("--format", choices=["text", "machine"], default="text")
 
     p = sub.add_parser(
         "lemma1", help="compare transferred maps against their closed form"
@@ -87,9 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arity", type=int, required=True, metavar="N")
 
     p = sub.add_parser("linfty", help="verify the induced symmetrized structure")
-    _add_structure_args(p, required=False)
-    p.add_argument("--max-arity", type=int, required=True, metavar="N")
-    p.add_argument("--format", choices=["text", "machine"], default="text")
+    _add_sweep_args(p)
+    p.set_defaults(check="linfty")
 
     p = sub.add_parser("apply", help="evaluate one structure map on one word")
     _add_structure_args(p, required=True)
@@ -136,12 +141,15 @@ def _refuse_unprintable(dim: int, max_arity: int, n_checks: int, fmt: str) -> No
     )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_sweep(args) -> int:
     s = _load_structure(args)
     _refuse_unprintable(
         s.space.dim, args.max_arity, 2 if args.check == "both" else 1, args.format
     )
-    report = verify_structure(s, args.max_arity, mode=args.check)
+    if args.check == "linfty":
+        report = verify_linfty(s, args.max_arity)
+    else:
+        report = verify_structure(s, args.max_arity, mode=args.check)
     sys.stdout.buffer.write(emit_report(report, format=args.format))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -156,14 +164,6 @@ def _cmd_lemma1(args) -> int:
         print(f"arity {n}: transferred map matches closed form: {'yes' if good else 'NO'}")
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_FAIL
-
-
-def _cmd_linfty(args) -> int:
-    s = _load_structure(args)
-    _refuse_unprintable(s.space.dim, args.max_arity, 1, args.format)
-    report = verify_linfty(s, args.max_arity)
-    sys.stdout.buffer.write(emit_report(report, format=args.format))
-    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_apply(args) -> int:
@@ -191,9 +191,9 @@ def _cmd_d2(args) -> int:
 
 
 _COMMANDS = {
-    "verify": _cmd_verify,
+    "verify": _cmd_sweep,
     "lemma1": _cmd_lemma1,
-    "linfty": _cmd_linfty,
+    "linfty": _cmd_sweep,
     "apply": _cmd_apply,
     "d2": _cmd_d2,
 }
@@ -211,6 +211,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (AinftyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a process it interrupted
     except Exception as exc:  # a bug, not a verdict: keep exit 1 for defects
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -8,9 +8,11 @@ of arity n >= 2 is supported on three disjoint families of words:
 * ``v1 w^(n-1)``          -> s_{n+1} w,
 
 with s_n the arity sign from ``signs.s_sign``, plus m_1(v1) = m_1(v2) = w;
-everything not listed maps to zero.  The family therefore exists at every
-arity, which is why it is exposed as a generator-backed structure under
-the name ``paper-example``.
+everything not listed maps to zero.  ``_entries`` lists these words once,
+each with its m_n output and the closed-form m'_n output of Lemma 1, and
+both maps are read off that listing.  The family exists at every arity,
+which is why it is exposed as a generator-backed structure under the name
+``paper-example``.
 """
 
 from __future__ import annotations
@@ -30,54 +32,39 @@ _V2 = 1
 _W = 2
 
 
-def _family_words(n: int) -> list[tuple[Word, str, int]]:
-    """The n+1 supported words of the arity-n map, tagged (word, family, k)."""
-    words: list[tuple[Word, str, int]] = []
-    for k in range(n - 1):
-        words.append(((_V1,) + (_W,) * k + (_V1,) + (_W,) * (n - 2 - k), "double-v1", k))
-    words.append(((_V1,) + (_W,) * (n - 2) + (_V2,), "trailing-v2", 0))
-    words.append(((_V1,) + (_W,) * (n - 1), "all-w-tail", 0))
-    return words
+def _entries(n: int) -> list[tuple[Word, Vector, Vector]]:
+    """The supported words of arity n, each with its m_n and m'_n output.
 
-
-def example_m(n: int) -> MultiMap:
-    """The arity-n structure map of the built-in example (unprimed)."""
-    if n < 1:
-        raise InputError("arity must be >= 1")
-    if n == 1:
-        table = {(_V1,): {_W: 1}, (_V2,): {_W: 1}}
-        return MultiMap(EXAMPLE_SPACE, 1, table)
-    table: dict[Word, Vector] = {}
-    for word, family, k in _family_words(n):
-        if family == "double-v1":
-            table[word] = {_V1: -s_sign(n) if k % 2 else s_sign(n)}
-        elif family == "trailing-v2":
-            table[word] = {_V1: s_sign(n + 1)}
-        else:
-            table[word] = {_W: s_sign(n + 1)}
-    # the three families address pairwise distinct words; a collision would
-    # mean rows silently summing, so guard it
-    assert len(table) == n + 1
-    return MultiMap(EXAMPLE_SPACE, n, table)
-
-
-def example_mprime(n: int) -> MultiMap:
-    """The arity-n transferred map, from its sign-free closed form.
-
-    All transfer signs cancel on this structure's support: the two v1
-    families map to v1 and the all-w-tail family maps to w, each with
-    coefficient +1 on the desuspended side.
+    Lemma 1's closed form: every transfer sign cancels on this support, so
+    m'_n maps the two v1 families to v1 and the all-w tail to w, each with
+    coefficient +1, and m'_1 = m_1.
     """
     if n < 1:
         raise InputError("arity must be >= 1")
     if n == 1:
-        table = {(_V1,): {_W: 1}, (_V2,): {_W: 1}}
-        return MultiMap(EXAMPLE_SPACE, 1, table, primed=True)
-    table: dict[Word, Vector] = {}
-    for word, family, _ in _family_words(n):
-        table[word] = {_W: 1} if family == "all-w-tail" else {_V1: 1}
-    assert len(table) == n + 1
-    return MultiMap(EXAMPLE_SPACE, n, table, primed=True)
+        return [((_V1,), {_W: 1}, {_W: 1}), ((_V2,), {_W: 1}, {_W: 1})]
+    s, s_next = s_sign(n), s_sign(n + 1)
+    ws = (_W,) * (n - 2)
+    rows = [
+        ((_V1,) + ws[:k] + (_V1,) + ws[k:], {_V1: -s if k % 2 else s}, {_V1: 1})
+        for k in range(n - 1)
+    ]
+    rows.append(((_V1,) + ws + (_V2,), {_V1: s_next}, {_V1: 1}))
+    rows.append(((_V1,) + ws + (_W,), {_W: s_next}, {_W: 1}))
+    # the three families address pairwise distinct words; a collision would
+    # mean rows silently summing, so guard it
+    assert len({word for word, _, _ in rows}) == n + 1
+    return rows
+
+
+def example_m(n: int) -> MultiMap:
+    """The arity-n structure map of the built-in example (unprimed)."""
+    return MultiMap(EXAMPLE_SPACE, n, {word: m for word, m, _ in _entries(n)})
+
+
+def example_mprime(n: int) -> MultiMap:
+    """The arity-n transferred map, from its sign-free closed form (``_entries``)."""
+    return MultiMap(EXAMPLE_SPACE, n, {word: mp for word, _, mp in _entries(n)}, primed=True)
 
 
 def example_structure(primed: bool = False) -> AStructure:

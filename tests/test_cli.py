@@ -1,5 +1,8 @@
 """End-to-end command-line behavior and exit-code partitioning."""
 
+import os
+import signal
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -165,6 +168,28 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert err.startswith("internal error: ")
     assert "invariant violated" in err
     assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_sigint_exits_130_with_one_line():
+    # lemma1 at this arity runs for minutes, so the signal lands mid-run
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-m", "ainfty.cli", "lemma1", "--max-arity", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        assert child.stdout.readline().startswith("arity 1: ")
+        child.send_signal(signal.SIGINT)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 130
+    assert err == "interrupted\n"
     assert "Traceback" not in err
 
 

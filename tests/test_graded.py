@@ -82,6 +82,12 @@ def test_poly_mixed_arities_allowed():
     assert len(p.terms) == 3
 
 
+def test_poly_repr():
+    assert repr(TensorPoly(SPACE)) == "TensorPoly(0)"
+    p = TensorPoly(SPACE, {(W,): Fraction(-1, 2), (V1, W): 3, (V1,): 1})
+    assert repr(p) == "TensorPoly(1 (v1) + 3 (v1,w) + -1/2 (w))"
+
+
 def test_poly_space_mismatch_rejected():
     other = GradedSpace((BasisElement("x", 0),))
     with pytest.raises(InputError):

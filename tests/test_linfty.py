@@ -1,6 +1,7 @@
 """Symmetrization of the transferred maps and the induced bracket relation."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,15 @@ def test_symmetrize_repeated_even_letter_gets_stabilizer_factor():
     expected = {y: {0: Fraction(2)} for y in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]}
     assert symmetrize_prime(mp).table == expected
     assert oracle_symmetrize(mp) == expected
+
+
+def test_symmetrize_long_word_of_one_even_letter_gets_the_stabilizer():
+    # one rearrangement, reached by all 1500! permutations with sign +1; the
+    # rearrangements are built without recursion, so the length is no limit
+    space = GradedSpace((BasisElement("a", 1), BasisElement("b", 2)))
+    word = (0,) * 1500
+    mp = MultiMap(space, 1500, {word: {1: Fraction(3, 7)}}, primed=True)
+    assert symmetrize_prime(mp).table == {word: {1: math.factorial(1500) * Fraction(3, 7)}}
 
 
 def test_symmetrize_repeated_odd_letter_cancels():

@@ -92,6 +92,8 @@ MUTANTS = (
            "for dw in sorted(defect)"),
     Mutant("_symmetrize: odd-repeat cancellation dropped", "src/ainfty/_backend.py",
            "if len(odd) != len(set(odd)):", "if False:"),
+    Mutant("_signed_rearrangements: passed letters ignored", "src/ainfty/_backend.py",
+           "step = pass_operator_sign(ddegs[b], passed)", "step = 1"),
     Mutant("_desuspended: sigma(x) ignored", "src/ainfty/_backend.py",
            "if _desusp_parity([degrees[a] for a in x]):", "if False:"),
     Mutant("_coderivation_terms: prefix read undesuspended", "src/ainfty/engine.py",

@@ -23,11 +23,10 @@ one-letter parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import InputError
+from .errors import InputError, Value
 from .graded import (
     GradedSpace,
     TensorPoly,
@@ -42,8 +41,7 @@ from .signs import alpha_sign, desusp_word_sign, pass_operator_sign, susp_iso_si
 Tables = dict[int, dict[Word, Vector]]
 
 
-@dataclass(frozen=True)
-class MultiMap:
+class MultiMap(Value):
     """An arity-k multilinear map given by a sparse word -> vector table.
 
     Unprimed maps act on the space itself and have degree 2-k; primed maps
@@ -53,33 +51,35 @@ class MultiMap:
     the table map to zero.
     """
 
+    __slots__ = _fields = ("space", "arity", "table", "primed")
     space: GradedSpace
     arity: int
-    table: Mapping[Word, Vector] = field(default_factory=dict)
-    primed: bool = False
+    table: Mapping[Word, Vector]
+    primed: bool
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
+    def __init__(
+        self,
+        space: GradedSpace,
+        arity: int,
+        table: Mapping[Word, Vector] = {},
+        primed: bool = False,
+    ) -> None:
+        if arity < 1:
             raise InputError("map arity must be >= 1")
         clean: dict[Word, Vector] = {}
-        for w, vec in self.table.items():
+        for w, vec in table.items():
             w = tuple(w)
-            if len(w) != self.arity:
-                raise InputError(
-                    f"table word {w} has arity {len(w)}, map has arity {self.arity}"
-                )
-            self.space.check_word(w)
+            if len(w) != arity:
+                raise InputError(f"table word {w} has arity {len(w)}, map has arity {arity}")
+            out_degree = word_degree(space, w) + 2 - arity  # checks the word
             vec = normalize_vector(vec)
             if not vec:
                 continue
-            in_deg = word_degree(self.space, w)
             for b in vec:
-                if self.space.degree(b) != in_deg + 2 - self.arity:
-                    raise InputError(
-                        f"inhomogeneous entry: {w} -> basis {self.space.name(b)}"
-                    )
+                if space.degree(b) != out_degree:  # also range-checks b
+                    raise InputError(f"inhomogeneous entry: {w} -> basis {space.name(b)}")
             clean[w] = vec
-        object.__setattr__(self, "table", clean)
+        self._set(space, arity, clean, primed)
 
     @property
     def degree(self) -> int:

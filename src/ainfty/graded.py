@@ -17,19 +17,19 @@ Representation choices, shared package-wide:
   dict whose words may have different arities, wrapped together with its
   space; it supports ``+``, ``-`` and scalar ``*``.
 
-All values are immutable after construction (tuples, frozen dataclasses) or
-treated as immutable by convention (the dicts inside vectors and
-polynomials); every operation returns a new value.
+All values are immutable after construction (tuples, and slotted classes on
+``errors.Value``, which refuse attribute assignment and compare, hash and
+print by their fields) or treated as immutable by convention (the dicts
+inside vectors and polynomials); every operation returns a new value.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, Value
 
 # A tensor word: basis indices, most significant (leftmost factor) first.
 Word = tuple[int, ...]
@@ -40,22 +40,22 @@ Vector = dict[int, Fraction]
 CONVENTIONS = ("cochain", "chain")
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Value):
     """A named basis vector with an integer degree."""
 
+    __slots__ = _fields = ("name", "degree")
     name: str
     degree: int
 
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
+    def __init__(self, name: str, degree: int) -> None:
+        if not name or not isinstance(name, str):
             raise InputError("basis element name must be a non-empty string")
-        if not isinstance(self.degree, int):
+        if not isinstance(degree, int):
             raise InputError("degrees must be integers")
+        self._set(name, degree)
 
 
-@dataclass(frozen=True)
-class GradedSpace:
+class GradedSpace(Value):
     """A finite ordered basis with integer degrees.
 
     Degrees are always stored in the cochain convention; a space declared in
@@ -64,23 +64,23 @@ class GradedSpace:
     downstream therefore runs a single internal convention.
     """
 
+    _fields = ("elements", "convention")
+    __slots__ = (*_fields, "_index")  # _index: name -> position, derived
     elements: tuple[BasisElement, ...]
-    convention: str = "cochain"
-    _index: dict[str, int] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
+    convention: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if self.convention not in CONVENTIONS:
-            raise InputError(f"unknown convention {self.convention!r}")
-        if not self.elements:
+    def __init__(self, elements: Iterable[BasisElement], convention: str = "cochain") -> None:
+        elements = tuple(elements)
+        if convention not in CONVENTIONS:
+            raise InputError(f"unknown convention {convention!r}")
+        if not elements:
             raise InputError("a graded space needs at least one basis element")
         index: dict[str, int] = {}
-        for i, el in enumerate(self.elements):
+        for i, el in enumerate(elements):
             if el.name in index:
                 raise InputError(f"duplicate basis name {el.name!r}")
             index[el.name] = i
+        self._set(elements, convention)
         object.__setattr__(self, "_index", index)
 
     @property

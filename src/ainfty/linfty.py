@@ -31,20 +31,18 @@ def _check_graded_symmetric(space: GradedSpace, table: Mapping[Word, Vector]) ->
     """Raise unless swapping two adjacent letters multiplies by their Koszul sign.
 
     Adjacent transpositions generate all permutations, so this pins full
-    graded symmetry on the desuspended letter degrees.
+    graded symmetry on the desuspended letter degrees.  The sign is +-1, so
+    the swapped entry is compared with the vector or its negation, and no
+    coefficient is multiplied.
     """
     degs = space.degrees
     for w, vec in table.items():
+        negated = {b: -c for b, c in vec.items()}
         for pos in range(len(w) - 1):
-            swapped = list(w)
-            swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
+            swapped = w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :]
             sign = pass_operator_sign(degs[w[pos]] - 1, degs[w[pos + 1]] - 1)
-            other = table.get(tuple(swapped), {})
-            expected = {b: sign * c for b, c in vec.items()}
-            if expected != dict(other):
-                raise InputError(
-                    f"table is not graded-symmetric at {w} <-> {tuple(swapped)}"
-                )
+            if table.get(swapped, {}) != (vec if sign > 0 else negated):
+                raise InputError(f"table is not graded-symmetric at {w} <-> {swapped}")
 
 
 def symmetrize_prime(mp: MultiMap) -> MultiMap:

@@ -5,36 +5,40 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import InputError
+from .errors import InputError, Value
 
 # A defect term: exact coefficient on a tensor word of basis names.
 DefectTerm = tuple[Fraction, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Value):
     """One input word whose checked identity came out nonzero."""
 
+    __slots__ = _fields = ("word", "defect")
     word: tuple[str, ...]
     defect: tuple[DefectTerm, ...]
 
+    def __init__(self, word: tuple[str, ...], defect: tuple[DefectTerm, ...]) -> None:
+        self._set(word, defect)
 
-@dataclass(frozen=True)
-class CheckRecord:
+
+class CheckRecord(Value):
     """Outcome of one check at one arity over the full word enumeration."""
 
+    __slots__ = _fields = ("check", "arity", "words", "failures")
     check: str
     arity: int
     words: int
     failures: tuple[Failure, ...]
 
+    def __init__(self, check: str, arity: int, words: int, failures: tuple[Failure, ...]) -> None:
+        self._set(check, arity, words, failures)
 
-@dataclass(frozen=True)
-class Report:
+
+class Report(Value):
     """Verification outcome for one structure.
 
     Records are ordered check-by-check with arity ascending, and failure
@@ -42,10 +46,16 @@ class Report:
     produce identical reports.
     """
 
+    __slots__ = _fields = ("structure", "convention", "max_arity", "checks")
     structure: str
     convention: str
     max_arity: int
     checks: tuple[CheckRecord, ...]
+
+    def __init__(
+        self, structure: str, convention: str, max_arity: int, checks: tuple[CheckRecord, ...]
+    ) -> None:
+        self._set(structure, convention, max_arity, checks)
 
     @property
     def passed(self) -> bool:

@@ -193,6 +193,23 @@ def test_sigint_exits_130_with_one_line():
     assert "Traceback" not in err
 
 
+def test_cli_import_loads_no_introspection_modules():
+    # every CLI run pays for what this import loads; compared before and
+    # after, so modules that site loads at interpreter start do not count
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = (
+        "import sys; before = set(sys.modules); import ainfty.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "ainfty.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 @pytest.fixture
 def digit_limit():
     """Pin Python's int-to-str digit limit at its default, 4300."""

@@ -43,6 +43,7 @@ SUBSET = (
     "tests/test_example.py",
     "tests/test_cli.py",
     "tests/test_formats.py",
+    "tests/test_values.py",
 )
 
 
@@ -117,6 +118,13 @@ MUTANTS = (
            '("," + _I[depth + 1]).join(items)', "_I[depth + 1].join(items)"),
     Mutant("_machine: names quoted with repr", "src/ainfty/report.py",
            "q = cache(json.dumps)", "q = cache(repr)"),
+    # the immutable-value base of the six records
+    Mutant("Value.__eq__: first field only", "src/ainfty/errors.py",
+           "return self._values(self) == self._values(other)",
+           "return self._values(self)[0] == self._values(other)[0]"),
+    Mutant("Value.__setattr__: assignment allowed", "src/ainfty/errors.py",
+           'raise AttributeError(f"cannot assign to field {name!r}")',
+           "_setattr(self, name, value)"),
     # one per rule of the structure-file parser
     Mutant("_content_lines: str.splitlines() line ends", "src/ainfty/formats.py",
            "enumerate(_LINE_END.split(text), start=1)", "enumerate(text.splitlines(), start=1)"),

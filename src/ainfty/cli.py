@@ -3,9 +3,10 @@
 Exit codes partition the outcomes: 0 = all requested checks pass, 1 = a
 verification check found a nonzero defect, 2 = usage, input or parse
 error, 3 = internal error (a bug in this package), 130 = interrupted
-(SIGINT), with one ``interrupted`` line on standard error.  Reports go to
-standard output, diagnostics to standard error; no outcome prints a
-traceback.
+(SIGINT), with one ``interrupted`` line on standard error.  A reader that
+closes standard output early (``| head``) and running out of memory both
+exit 2 with one ``error:`` line.  Reports go to standard output as they are
+written, diagnostics to standard error; no outcome prints a traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .engine import AStructure, apply_map, d_squared, prime
 from .errors import AinftyError, InputError
 from .example import BUILTIN_STRUCTURES, lemma1_check
 from .formats import parse_structure
-from .report import _format_terms, emit_report
+from .report import _format_terms, _pieces
+from .report import emit_report  # unused here: perfbench/trace_cli.py wraps cli.emit_report
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -150,7 +152,9 @@ def _cmd_sweep(args) -> int:
         report = verify_linfty(s, args.max_arity)
     else:
         report = verify_structure(s, args.max_arity, mode=args.check)
-    sys.stdout.buffer.write(emit_report(report, format=args.format))
+    write = sys.stdout.buffer.write
+    for piece in _pieces(report, args.format):
+        write(piece.encode("utf-8"))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -207,7 +211,20 @@ def run_cli(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader is gone: send what stdout still buffers to devnull, so
+        # that Python's flush at exit prints nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
     except (AinftyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

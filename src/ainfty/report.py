@@ -1,10 +1,18 @@
-"""Machine-readable verification outcomes and their two output formats."""
+"""Machine-readable verification outcomes and their two output formats.
+
+``_pieces`` yields a report as ``str`` pieces, in either format: the text
+layout one line at a time, the machine layout record by record and failure
+by failure, so a writer never holds the rendered report whole.  Before the
+first piece it checks every integer the format prints against Python's
+int-to-str digit limit, so a refused report writes nothing.
+``emit_report`` joins the pieces into the whole report.
+"""
 
 from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache
 
@@ -70,23 +78,21 @@ def _format_terms(terms: Iterable[DefectTerm]) -> str:
     return " + ".join(f"{c} {','.join(w)}" for c, w in terms) or "0"
 
 
-def _text(report: Report) -> str:
-    lines = [
-        f"structure: {report.structure}",
-        f"convention: {report.convention}",
-        f"max arity: {report.max_arity}",
-    ]
+def _text(report: Report) -> Iterator[str]:
+    """The human-readable layout, one line at a time."""
+    yield f"structure: {report.structure}\n"
+    yield f"convention: {report.convention}\n"
+    yield f"max arity: {report.max_arity}\n"
     for rec in report.checks:
-        lines.append(
+        yield (
             f"check {rec.check}, arity {rec.arity}: "
-            f"{rec.words} words, {len(rec.failures)} failures"
+            f"{rec.words} words, {len(rec.failures)} failures\n"
         )
         for f in rec.failures:
-            lines.append(f"  word {','.join(f.word)}: defect {_format_terms(f.defect)}")
+            yield f"  word {','.join(f.word)}: defect {_format_terms(f.defect)}\n"
     verdict = "PASS" if report.passed else "FAIL"
     total_words = sum(rec.words for rec in report.checks)
-    lines.append(f"result: {verdict} ({report.failure_count} failures in {total_words} words)")
-    return "\n".join(lines) + "\n"
+    yield f"result: {verdict} ({report.failure_count} failures in {total_words} words)\n"
 
 
 _I = tuple("\n" + "  " * depth for depth in range(9))  # line start at each depth
@@ -97,47 +103,99 @@ def _json_list(items: Iterable[str], depth: int) -> str:
     return f"[{_I[depth + 1]}{body}{_I[depth]}]" if body else "[]"
 
 
-def _machine(report: Report) -> str:
-    """``json.dumps(indent=2)`` of the report as nested dicts, written record by record."""
+def _json_stream(items: Iterable[Iterable[str]], depth: int) -> Iterator[str]:
+    """``_json_list`` of items that each come as pieces, yielded as they come."""
+    sep = "["
+    for pieces in items:
+        yield sep + _I[depth + 1]
+        yield from pieces
+        sep = ","
+    yield "[]" if sep == "[" else _I[depth] + "]"
+
+
+def _machine(report: Report) -> Iterator[str]:
+    """``json.dumps(indent=2)`` of the report as nested dicts, written failure by failure."""
     q = cache(json.dumps)  # each basis name quoted once per report
-    checks = []
-    for rec in report.checks:
-        failures = []
-        for f in rec.failures:
-            terms = [
-                f'{{{_I[7]}"coeff": "{c}",{_I[7]}"word": {_json_list(map(q, w), 7)}{_I[6]}}}'
-                for c, w in f.defect
-            ]
-            failures.append(
-                f'{{{_I[5]}"word": {_json_list(map(q, f.word), 5)},'
-                f'{_I[5]}"defect": {_json_list(terms, 5)}{_I[4]}}}'
-            )
-        checks.append(
-            f'{{{_I[3]}"check": {json.dumps(rec.check)},{_I[3]}"arity": {rec.arity},'
-            f'{_I[3]}"words": {rec.words},{_I[3]}"failures": {_json_list(failures, 3)}{_I[2]}}}'
+
+    def failure(f: Failure) -> tuple[str]:  # one piece
+        terms = [
+            f'{{{_I[7]}"coeff": "{c}",{_I[7]}"word": {_json_list(map(q, w), 7)}{_I[6]}}}'
+            for c, w in f.defect
+        ]
+        return (
+            f'{{{_I[5]}"word": {_json_list(map(q, f.word), 5)},'
+            f'{_I[5]}"defect": {_json_list(terms, 5)}{_I[4]}}}',
         )
-    return (
+
+    def record(rec: CheckRecord) -> Iterator[str]:
+        yield (
+            f'{{{_I[3]}"check": {json.dumps(rec.check)},{_I[3]}"arity": {rec.arity},'
+            f'{_I[3]}"words": {rec.words},{_I[3]}"failures": '
+        )
+        yield from _json_stream(map(failure, rec.failures), 3)
+        yield _I[2] + "}"
+
+    yield (
         f'{{{_I[1]}"structure": {json.dumps(report.structure)},'
         f'{_I[1]}"convention": {json.dumps(report.convention)},'
         f'{_I[1]}"max_arity": {report.max_arity},{_I[1]}"pass": {json.dumps(report.passed)},'
-        f'{_I[1]}"checks": {_json_list(checks, 1)}\n}}\n'
+        f'{_I[1]}"checks": '
     )
+    yield from _json_stream(map(record, report.checks), 1)
+    yield "\n}\n"
+
+
+def _printed_ints(report: Report, format: str) -> Iterator[int]:
+    """Every integer that ``format`` prints, some of them more than once.
+
+    A record's failure count in the text layout is at most the total.
+    """
+    yield report.max_arity
+    for rec in report.checks:
+        yield rec.arity
+        yield rec.words
+        for f in rec.failures:
+            for c, _ in f.defect:
+                yield c.numerator
+                yield c.denominator
+    if format == "text":  # the result line's totals
+        yield report.failure_count
+        yield sum(rec.words for rec in report.checks)
+
+
+def _check_printable(report: Report, format: str) -> None:
+    """Raise ``InputError`` if ``format`` would print an int longer than Python allows.
+
+    ``str()`` refuses an int of more than ``sys.get_int_max_str_digits()``
+    digits (0: no limit; Pythons before 3.10.7 have none), that is an int
+    whose absolute value is at least ``10**limit``.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    short = limit * 3.32  # an int of at most this many bits is below 10**limit
+    big = 10**limit
+    for i in _printed_ints(report, format):
+        if i.bit_length() > short and abs(i) >= big:
+            raise InputError(
+                f"the report would print an integer of more than "
+                f"{limit} digits (sys.get_int_max_str_digits())"
+            )
+
+
+def _pieces(report: Report, format: str) -> Iterator[str]:
+    """The report in ``format`` as ``str`` pieces, refused before the first if unprintable."""
+    if format not in ("text", "machine"):
+        raise ValueError(f"unknown report format {format!r}")
+    _check_printable(report, format)
+    return _machine(report) if format == "machine" else _text(report)
 
 
 def emit_report(report: Report, format: str = "text") -> bytes:
-    """Render a report as bytes: ``text`` for humans, ``machine`` for tools.
+    """Render a whole report as bytes: ``text`` for humans, ``machine`` for tools.
 
     Both renderings are deterministic (no timestamps, fixed ordering), so
     re-emission of the same report is byte-identical.  An integer with more
     digits than ``sys.get_int_max_str_digits()`` allows raises ``InputError``.
     """
-    if format not in ("text", "machine"):
-        raise ValueError(f"unknown report format {format!r}")
-    try:  # nothing is returned until the whole report is rendered
-        rendered = _machine(report) if format == "machine" else _text(report)
-    except ValueError:  # str() of an int past the limit
-        raise InputError(
-            f"the report would print an integer of more than "
-            f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
-        ) from None
-    return rendered.encode("utf-8")
+    return "".join(_pieces(report, format)).encode("utf-8")

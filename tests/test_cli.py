@@ -19,12 +19,21 @@ from ainfty import (
     emit_report,
     parse_structure,
     serialize_structure,
+    verify_structure,
 )
 from ainfty.cli import run_cli
 from test_engine import mutated_structure, truncated_example
 from test_formats import SEPARATORS
 
 V1, V2, W = 0, 1, 2
+CORPUS = Path(__file__).parent / "corpus"
+# a child process imports the package from this checkout
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+# coderivation 1..8 on mutated.astr: a failing machine report of about 5 MB
+LARGE_REPORT = [
+    "verify", "--check", "coderivation", "--format", "machine", "--max-arity", "8",
+    "--input", str(CORPUS / "mutated.astr"),
+]
 
 
 @pytest.fixture
@@ -173,12 +182,11 @@ def test_internal_error_exits_three(monkeypatch, capsys):
 
 def test_sigint_exits_130_with_one_line():
     # lemma1 at this arity runs for minutes, so the signal lands mid-run
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     child = subprocess.Popen(
         [sys.executable, "-u", "-m", "ainfty.cli", "lemma1", "--max-arity", "3000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=CHILD_ENV,
         text=True,
     )
     try:
@@ -193,16 +201,125 @@ def test_sigint_exits_130_with_one_line():
     assert "Traceback" not in err
 
 
+def _assert_one_error_line(child, err):
+    assert child.returncode == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Exception ignored" not in err and "Traceback" not in err
+
+
+def test_stdout_closed_before_the_first_write_exits_two():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "ainfty.cli", *LARGE_REPORT],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=CHILD_ENV,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    _assert_one_error_line(child, child.stderr)
+    assert "Broken pipe" in child.stderr
+
+
+def test_stdout_closed_after_100_bytes_exits_two():
+    # the report is far larger than a pipe holds, so the child is still
+    # writing when the reader goes away
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ainfty.cli", *LARGE_REPORT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+        text=True,
+    )
+    try:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    _assert_one_error_line(child, err)
+    assert "Broken pipe" in err
+
+
+def test_out_of_memory_exits_two_with_one_line():
+    resource = pytest.importorskip("resource")
+    limit = 64 << 20  # bytes of address space: enough to start, not for this sweep
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    # coderivation 1..10 on mutated.astr holds about 110 MB at its peak
+    argv = ["verify", "--check", "coderivation", "--max-arity", "10"]
+    child = subprocess.run(
+        [sys.executable, "-m", "ainfty.cli", *argv, "--input", str(CORPUS / "mutated.astr")],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+        text=True,
+        timeout=120,
+        preexec_fn=cap_memory,
+    )
+    _assert_one_error_line(child, child.stderr)
+    assert child.stderr == "error: out of memory\n"
+
+
+def test_memory_error_exits_two(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_structure", no_memory)
+    code = run_cli(["verify", "--max-arity", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
+class _RecordingBinaryStdout:
+    """A stand-in for ``sys.stdout`` that keeps each binary write."""
+
+    def __init__(self):
+        self.writes = []
+        self.buffer = self
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_cli_writes_the_report_in_pieces(fmt, monkeypatch):
+    path = CORPUS / "mutated.astr"
+    stdout = _RecordingBinaryStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ["--check", "coderivation", "--format", fmt, "--max-arity", "6"]
+    assert run_cli(["verify", *argv, "--input", str(path)]) == 1
+    report = verify_structure(
+        parse_structure(path.read_text(encoding="utf-8"), name=path.name), 6, mode="coderivation"
+    )
+    whole = emit_report(report, format=fmt)
+    assert b"".join(stdout.writes) == whole
+    assert max(map(len, stdout.writes)) <= len(whole) / 10
+
+
 def test_cli_import_loads_no_introspection_modules():
     # every CLI run pays for what this import loads; compared before and
     # after, so modules that site loads at interpreter start do not count
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     code = (
         "import sys; before = set(sys.modules); import ainfty.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
     child = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=CHILD_ENV, capture_output=True, text=True, timeout=60
     )
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
@@ -362,6 +479,28 @@ def test_unprintable_defect_coefficient_boundary(fmt, digit_limit):
     emit_report(report(Fraction(10**4300)), format=fmt)
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("field", ["max_arity", "arity", "words"])
+def test_unprintable_report_integer_boundary(field, fmt, digit_limit):
+    def report(n):
+        ints = {"max_arity": 1, "arity": 1, "words": 2, field: n}
+        rec = CheckRecord("direct", ints["arity"], ints["words"], ())
+        return Report("s", "cochain", ints["max_arity"], (rec,))
+
+    assert b"9" * 4300 in emit_report(report(10**4300 - 1), format=fmt)
+    with pytest.raises(InputError, match="more than 4300 digits"):
+        emit_report(report(10**4300), format=fmt)
+
+
+def test_unprintable_text_total_words(digit_limit):
+    # each record's count prints; only the text result line's total does not
+    half = CheckRecord("direct", 1, 5 * 10**4299, ())
+    report = Report("s", "cochain", 1, (half, half))
+    emit_report(report, format="machine")
+    with pytest.raises(InputError, match="more than 4300 digits"):
+        emit_report(report, format="text")
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli([]) == 2
     assert run_cli(["verify"]) == 2  # --max-arity is required
@@ -463,8 +602,6 @@ def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
 
-
-CORPUS = Path(__file__).parent / "corpus"
 
 
 @st.composite

@@ -110,8 +110,14 @@ MUTANTS = (
            "sign = pass_operator_sign(degs[w[pos]] - 1, degs[w[pos + 1]] - 1)", "sign = 1"),
     Mutant("symmetrize_prime: check skipped", "src/ainfty/linfty.py",
            "_check_graded_symmetric(mp.space, table)", "pass"),
-    Mutant("emit_report: digit refusal not caught", "src/ainfty/report.py",
-           "except ValueError:", "except TypeError:"),
+    Mutant("_pieces: digit pre-pass skipped", "src/ainfty/report.py",
+           "_check_printable(report, format)\n", "\n"),
+    Mutant("_check_printable: > for >=", "src/ainfty/report.py",
+           "abs(i) >= big", "abs(i) > big"),
+    Mutant("_printed_ints: text totals unchecked", "src/ainfty/report.py",
+           'if format == "text":', "if False:"),
+    Mutant("_json_stream: no ',' between streamed failures", "src/ainfty/report.py",
+           'sep = ","', 'sep = ""'),
     Mutant("_machine: verdict always pass", "src/ainfty/report.py",
            "json.dumps(report.passed)", "json.dumps(True)"),
     Mutant("_json_list: no ',' between records", "src/ainfty/report.py",

@@ -21,7 +21,7 @@ from .engine import AStructure, apply_map, d_squared, prime
 from .errors import AinftyError, InputError
 from .example import BUILTIN_STRUCTURES, lemma1_check
 from .formats import parse_structure
-from .report import _format_terms, _pieces
+from .report import _digit_limit, _format_terms, _pieces
 from .report import emit_report  # unused here: perfbench/trace_cli.py wraps cli.emit_report
 
 EXIT_PASS = 0
@@ -118,12 +118,11 @@ def _refuse_unprintable(dim: int, max_arity: int, n_checks: int, fmt: str) -> No
     """Refuse, before any sweep, a report with an integer too long to print.
 
     Python refuses ``str()`` of an int with more digits than
-    ``sys.get_int_max_str_digits()`` (0: no limit; Pythons before 3.10.7
-    have none).  Every record prints dim**arity, and the text result line
-    the total over all ``n_checks * arities`` records.  The limit also
+    ``_digit_limit()``.  Every record prints dim**arity, and the text result
+    line the total over all ``n_checks * arities`` records.  The limit also
     guards the parser's ``int()`` calls on file input, so it stays.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if not limit:
         return
     # far past the limit, skip the exact powers; max_arity may not fit a float
@@ -152,9 +151,8 @@ def _cmd_sweep(args) -> int:
         report = verify_linfty(s, args.max_arity)
     else:
         report = verify_structure(s, args.max_arity, mode=args.check)
-    write = sys.stdout.buffer.write
     for piece in _pieces(report, args.format):
-        write(piece.encode("utf-8"))
+        sys.stdout.buffer.write(piece)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 

@@ -187,14 +187,12 @@ class AStructure:
         """The arity-k map, or None where the family has no entry."""
         if k < 1:
             raise InputError("arity must be >= 1")
-        if k not in self._maps:
-            if self._generator is None:
-                return None
+        if k not in self._maps and self._generator is not None:
             m = self._generator(k)
             if m is not None:
                 self._check_member(k, m)
             self._maps[k] = m
-        return self._maps[k]
+        return self._maps.get(k)
 
     @property
     def arities(self) -> list[int]:
@@ -203,10 +201,14 @@ class AStructure:
             raise InputError("a generator-backed family has no finite arity list")
         return sorted(k for k, m in self._maps.items() if m is not None)
 
+    def _maps_up_to(self, n: int) -> dict[int, MultiMap]:
+        """The maps of arity 1..n, by arity; arities without a map are left out."""
+        maps = {k: self.map_at(k) for k in range(1, n + 1)}
+        return {k: m for k, m in maps.items() if m is not None}
+
     def tables_up_to(self, n: int) -> Tables:
         """The tables of the maps of arity 1..n, by arity."""
-        maps = {k: self.map_at(k) for k in range(1, n + 1)}
-        return {k: m.table for k, m in maps.items() if m is not None}
+        return {k: m.table for k, m in self._maps_up_to(n).items()}
 
     def primed_version(self) -> "AStructure":
         if self.primed:
@@ -219,26 +221,18 @@ class AStructure:
         return self._transformed(unprime, primed=False)
 
     def _transformed(self, fn: Callable[[MultiMap], MultiMap], primed: bool) -> "AStructure":
-        if self.is_finite:
-            maps = {k: fn(m) for k, m in self._maps.items() if m is not None}
-            return AStructure(self.space, maps=maps, primed=primed, name=self.name)
-        gen = self._generator
-
-        def transformed_rule(k: int) -> MultiMap | None:
-            m = gen(k)
+        def rule(k: int) -> MultiMap | None:  # reads, and so fills, this family's cache
+            m = self.map_at(k)
             return None if m is None else fn(m)
 
-        return AStructure(
-            self.space, generator=transformed_rule, primed=primed, name=self.name
-        )
+        if self.is_finite:
+            maps = {k: rule(k) for k in self._maps}
+            return AStructure(self.space, maps=maps, primed=primed, name=self.name)
+        return AStructure(self.space, generator=rule, primed=primed, name=self.name)
 
     def snapshot(self, max_arity: int) -> "AStructure":
         """A finite copy holding the maps of arity 1..max_arity."""
-        maps = {}
-        for k in range(1, max_arity + 1):
-            m = self.map_at(k)
-            if m is not None:
-                maps[k] = m
+        maps = self._maps_up_to(max_arity)
         return AStructure(self.space, maps=maps, primed=self.primed, name=self.name)
 
 

@@ -17,17 +17,18 @@ Representation choices, shared package-wide:
   dict whose words may have different arities, wrapped together with its
   space; it supports ``+``, ``-`` and scalar ``*``.
 
-All values are immutable after construction (tuples, and slotted classes on
-``errors.Value``, which refuse attribute assignment and compare, hash and
-print by their fields) or treated as immutable by convention (the dicts
-inside vectors and polynomials); every operation returns a new value.
+All values are immutable after construction: words are tuples, and spaces,
+maps and polynomials (``TensorPoly``) are slotted classes on ``errors.Value``,
+which refuse attribute assignment and compare by their fields.  Only the
+dicts inside vectors and polynomials are immutable by convention; every
+operation returns a new value.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .errors import InputError, Value
 
@@ -38,6 +39,8 @@ Word = tuple[int, ...]
 Vector = dict[int, Fraction]
 
 CONVENTIONS = ("cochain", "chain")
+
+K = TypeVar("K")  # the key of a sparse sum: a basis index or a word
 
 
 class BasisElement(Value):
@@ -128,9 +131,9 @@ def word_degree(space: GradedSpace, w: Word) -> int:
     return sum(space.elements[i].degree for i in w)
 
 
-def normalize_vector(v: Mapping[int, Fraction | int]) -> Vector:
-    """Coerce coefficients to Fraction and drop zeros."""
-    out: Vector = {}
+def normalize_vector(v: Mapping[K, Fraction | int]) -> dict[K, Fraction]:
+    """Coerce coefficients to Fraction and drop zeros; keys are kept as given."""
+    out: dict[K, Fraction] = {}
     for i, c in v.items():
         c = Fraction(c)
         if c:
@@ -138,43 +141,33 @@ def normalize_vector(v: Mapping[int, Fraction | int]) -> Vector:
     return out
 
 
-class TensorPoly:
+class TensorPoly(Value):
     """A formal sum of tensor words with rational coefficients.
 
     Words of different arities may coexist (the coderivation maps an
     arity-n word to arities n-k+1 for every k <= n).  The term dict is
-    normalized on construction and must not be mutated afterwards.
+    normalized on construction and must not be mutated afterwards; like
+    ``MultiMap``'s table it makes the value unhashable.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = _fields = ("space", "terms")
+    space: GradedSpace
+    terms: dict[Word, Fraction]
 
-    def __init__(self, space: GradedSpace, terms: Mapping[Word, Fraction | int] = {}):
-        normalized: dict[Word, Fraction] = {}
-        for w, c in terms.items():
+    def __init__(self, space: GradedSpace, terms: Mapping[Word, Fraction | int] = {}) -> None:
+        for w in terms:
             space.check_word(w)
-            c = Fraction(c)
-            if c:
-                normalized[w] = c
-        self.space = space
-        self.terms = normalized
+        self._set(space, normalize_vector(terms))
 
     @classmethod
     def _raw(cls, space: GradedSpace, terms: dict[Word, Fraction]) -> "TensorPoly":
         """Wrap an already-normalized term dict without copying or checking."""
         self = cls.__new__(cls)
-        self.space = space
-        self.terms = terms
+        self._set(space, terms)
         return self
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    __hash__ = None  # not hashable; term dicts are mutable containers
 
     def __add__(self, other: "TensorPoly") -> "TensorPoly":
         """Coefficient-wise sum, normalized."""

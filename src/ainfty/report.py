@@ -1,10 +1,10 @@
 """Machine-readable verification outcomes and their two output formats.
 
-``_pieces`` yields a report as ``str`` pieces, in either format: the text
-layout one line at a time, the machine layout record by record and failure
-by failure, so a writer never holds the rendered report whole.  Before the
-first piece it checks every integer the format prints against Python's
-int-to-str digit limit, so a refused report writes nothing.
+``_pieces`` yields a report as UTF-8 ``bytes`` pieces, in either format: the
+text layout one line at a time, the machine layout record by record and
+failure by failure, so a writer never holds the rendered report whole.
+Before the first piece it checks every integer the format prints against
+Python's int-to-str digit limit, so a refused report writes nothing.
 ``emit_report`` joins the pieces into the whole report.
 """
 
@@ -163,32 +163,37 @@ def _printed_ints(report: Report, format: str) -> Iterator[int]:
         yield sum(rec.words for rec in report.checks)
 
 
+def _digit_limit() -> int:
+    """``sys.get_int_max_str_digits()``: 0 for no limit, as on Pythons before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _check_printable(report: Report, format: str) -> None:
     """Raise ``InputError`` if ``format`` would print an int longer than Python allows.
 
-    ``str()`` refuses an int of more than ``sys.get_int_max_str_digits()``
-    digits (0: no limit; Pythons before 3.10.7 have none), that is an int
-    whose absolute value is at least ``10**limit``.
+    ``str()`` refuses an int of more than ``_digit_limit()`` digits, that
+    is an int whose absolute value is at least ``10**limit``.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if not limit:
         return
-    short = limit * 3.32  # an int of at most this many bits is below 10**limit
     big = 10**limit
     for i in _printed_ints(report, format):
-        if i.bit_length() > short and abs(i) >= big:
+        if abs(i) >= big:
             raise InputError(
                 f"the report would print an integer of more than "
                 f"{limit} digits (sys.get_int_max_str_digits())"
             )
 
 
-def _pieces(report: Report, format: str) -> Iterator[str]:
-    """The report in ``format`` as ``str`` pieces, refused before the first if unprintable."""
+def _pieces(report: Report, format: str) -> Iterator[bytes]:
+    """The report in ``format`` as UTF-8 pieces, refused before the first if unprintable."""
     if format not in ("text", "machine"):
         raise ValueError(f"unknown report format {format!r}")
     _check_printable(report, format)
-    return _machine(report) if format == "machine" else _text(report)
+    pieces = _machine(report) if format == "machine" else _text(report)
+    # a file name that is not UTF-8 holds surrogate escapes: write its own bytes
+    return (piece.encode("utf-8", "surrogateescape") for piece in pieces)
 
 
 def emit_report(report: Report, format: str = "text") -> bytes:
@@ -198,4 +203,4 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     re-emission of the same report is byte-identical.  An integer with more
     digits than ``sys.get_int_max_str_digits()`` allows raises ``InputError``.
     """
-    return "".join(_pieces(report, format)).encode("utf-8")
+    return b"".join(_pieces(report, format))

@@ -100,6 +100,22 @@ def test_verify_report_ignores_path_spelling(broken_file, tmp_path, monkeypatch,
     assert '"structure": "broken.astr"' in outputs[0]
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_verify_file_name_not_utf8(fmt, tmp_path, capsysbinary):
+    """The base name keeps an undecodable byte as a surrogate escape."""
+    name = os.fsdecode(b"z\xff.astr")
+    (tmp_path / name).write_bytes((CORPUS / "z12.astr").read_bytes())
+    argv = ["verify", "--max-arity", "2", "--format", fmt]
+    assert run_cli([*argv, "--input", str(tmp_path / name)]) == 0
+    out = capsysbinary.readouterr().out
+    assert run_cli([*argv, "--input", str(CORPUS / "z12.astr")]) == 0
+    # text: the name's own bytes; machine: json.dumps's escape of the surrogate
+    renamed = b"z\xff.astr" if fmt == "text" else b"z\\udcff.astr"
+    assert out == capsysbinary.readouterr().out.replace(b"z12.astr", renamed)
+    if fmt == "text":
+        assert b"structure: z\xff.astr\n" in out
+
+
 def test_verify_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.astr"
     bad.write_text("ainfty v1\nconvention cochain\nbasis a 0\nmap 2: a q -> 1 a\n")

@@ -455,6 +455,20 @@ def test_generator_backed_structure_materializes_lazily():
     assert snap.is_finite and snap.arities == [1, 2, 3, 4]
 
 
+def test_transferred_family_reads_the_source_rule_once_per_arity():
+    calls = []
+
+    def rule(k):
+        calls.append(k)
+        return example_m(k)
+
+    s = AStructure(EXAMPLE_SPACE, generator=rule)
+    primed = s.primed_version()
+    tables = primed.tables_up_to(6)
+    assert tables == {k: prime(s.map_at(k)).table for k in range(1, 7)}
+    assert calls == [1, 2, 3, 4, 5, 6]
+
+
 def test_primed_unprimed_versions_round_trip():
     s = truncated_example(3)
     sp = s.primed_version()

@@ -1,10 +1,12 @@
-"""Value semantics of the six immutable records.
+"""Value semantics of the seven immutable records.
 
-``BasisElement``, ``GradedSpace``, ``MultiMap``, ``Failure``,
-``CheckRecord`` and ``Report`` compare, hash and print by their fields in
-declaration order, refuse attribute assignment, and survive ``pickle`` and
-``copy``.  The repr strings and validation messages below are pinned: the
-reports, error lines and test output that show them must not drift.
+``BasisElement``, ``GradedSpace``, ``MultiMap``, ``TensorPoly``,
+``Failure``, ``CheckRecord`` and ``Report`` compare and hash by their
+fields in declaration order, refuse attribute assignment, and survive
+``pickle`` and ``copy``; all but ``TensorPoly``, which prints as a sum,
+also print by their fields.  The repr strings and validation messages
+below are pinned: the reports, error lines and test output that show them
+must not drift.
 """
 
 import copy
@@ -21,6 +23,7 @@ from ainfty import (
     InputError,
     MultiMap,
     Report,
+    TensorPoly,
 )
 
 A, B = BasisElement("a", 0), BasisElement("b", 1)
@@ -29,8 +32,10 @@ MAP = MultiMap(SPACE, 2, {(0, 1): {1: 2}})
 FAILURE = Failure(("a", "b"), ((Fraction(-1, 2), ("b",)),))
 RECORD = CheckRecord("direct", 2, 4, (FAILURE,))
 REPORT = Report("s", "cochain", 2, (RECORD,))
-VALUES = (A, SPACE, MAP, FAILURE, RECORD, REPORT)
-FIRST_FIELDS = ("name", "elements", "space", "word", "check", "structure")
+POLY = TensorPoly(SPACE, {(0,): Fraction(1, 2), (0, 1): -1})
+VALUES = (A, SPACE, MAP, FAILURE, RECORD, REPORT, POLY)
+# the polynomial's second field, so that no two ids are the same
+FIRST_FIELDS = ("name", "elements", "space", "word", "check", "structure", "terms")
 
 SPACE_REPR = (
     "GradedSpace(elements=(BasisElement(name='a', degree=0), "
@@ -77,6 +82,8 @@ def test_equality_is_by_class_and_fields():
     assert MultiMap(SPACE, 2, {(0, 1): {1: 2}}, primed=True) != MAP
     assert MultiMap(SPACE, 2, {(0, 1): {1: 0}}) == MultiMap(SPACE, 2)  # zeros dropped
     assert Failure(("a", "b"), ()) != FAILURE
+    assert TensorPoly(SPACE, {(0,): 1, (1,): 0}) == TensorPoly(SPACE, {(0,): Fraction(1)})
+    assert TensorPoly(SPACE) != TensorPoly(GradedSpace((A, B)))  # spaces differ
     assert A != ("a", 0) and A.__eq__(("a", 0)) is NotImplemented
     assert RECORD != REPORT
 
@@ -88,6 +95,8 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert len({FAILURE, Failure(FAILURE.word, FAILURE.defect)}) == 1
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(MAP)  # its table is a dict
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(POLY)  # so are its terms
 
 
 @pytest.mark.parametrize("value, field", zip(VALUES, FIRST_FIELDS), ids=FIRST_FIELDS)
@@ -140,6 +149,9 @@ def test_copied_space_rebuilds_its_index():
         (lambda: MultiMap(SPACE, 2, {(0, 0): {1: 1}}), "inhomogeneous entry: (0, 0) -> basis b"),
         (lambda: MultiMap(SPACE, 2, {(0, 0): {0: 1, 1: 1}}),
          "inhomogeneous entry: (0, 0) -> basis b"),
+        (lambda: TensorPoly(SPACE, {(0, 5): 1}), "basis index 5 out of range in word (0, 5)"),
+        (lambda: TensorPoly(SPACE, {(5,): 0}), "basis index 5 out of range in word (5,)"),
+        (lambda: TensorPoly(SPACE, {(): 1}), "words must have arity >= 1"),
     ],
 )
 def test_validation_messages(build, message):

@@ -124,13 +124,17 @@ MUTANTS = (
            '("," + _I[depth + 1]).join(items)', "_I[depth + 1].join(items)"),
     Mutant("_machine: names quoted with repr", "src/ainfty/report.py",
            "q = cache(json.dumps)", "q = cache(repr)"),
-    # the immutable-value base of the six records
+    Mutant("_pieces: strict encoding", "src/ainfty/report.py",
+           '"utf-8", "surrogateescape"', '"utf-8", "strict"'),
+    # the immutable-value base of the seven records, and the polynomial's checks
     Mutant("Value.__eq__: first field only", "src/ainfty/errors.py",
            "return self._values(self) == self._values(other)",
            "return self._values(self)[0] == self._values(other)[0]"),
     Mutant("Value.__setattr__: assignment allowed", "src/ainfty/errors.py",
            'raise AttributeError(f"cannot assign to field {name!r}")',
            "_setattr(self, name, value)"),
+    Mutant("TensorPoly.__init__: words unchecked", "src/ainfty/graded.py",
+           "for w in terms:\n            space.check_word(w)", "for w in terms:\n            pass"),
     # one per rule of the structure-file parser
     Mutant("_content_lines: str.splitlines() line ends", "src/ainfty/formats.py",
            "enumerate(_LINE_END.split(text), start=1)", "enumerate(text.splitlines(), start=1)"),

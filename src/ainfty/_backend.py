@@ -3,7 +3,7 @@
 The per-word defect functions in ``engine`` and ``linfty`` are the
 reference implementation.  ``_sweep`` is the one driver of all three
 checks, behind ``verify_structure`` and ``verify_linfty``: it
-validates the request, scales the unprimed maps, walks each arity once,
+validates the request, walks each arity once on the scaled maps,
 hands the sums to each of its cells, and turns the nonzero defects into
 report records in a deterministic order.  No cell visits every word.
 The walk, ``_top_sums``, goes over the (outer entry, position, inner
@@ -15,13 +15,15 @@ R(x) = sigma(x) * S(x) of D(D(x)) (``_desuspended``).  Every other word
 is zero by construction, so each record still certifies all ``dim**n``
 words.
 
-All three sweeps run on Python ints.  Each run scales every table
-coefficient by ``scale``, the lcm of all their denominators
-(``_scaled_tables``).  Every term of the direct identity and of D(D(word))
-is a product of exactly two coefficients, and symmetrization only adds
-such terms with integer weights, so a scaled defect is exactly
-``scale**2`` times the true one and is zero exactly when it is.  Each cell
-returns only its failing words, and ``_to_record`` divides their defects
+All three sweeps run on Python ints.  ``_sweep`` takes ``scale``, the
+lcm of the denominators of every table coefficient, once per run, and
+each walk indexes the entries of its arity with their coefficients times
+``scale``; no scaled copy of the tables outlives the walk.  Every term of
+the direct identity and of D(D(word)) is a product of exactly two
+coefficients, and symmetrization only adds such terms with integer
+weights, so a scaled defect is exactly ``scale**2`` times the true one and
+is zero exactly when it is.  Each cell returns only its failing words,
+without copying their defects, and ``_to_record`` divides the defects
 back into ``Fraction``s, which reduce to lowest terms, so the records are
 the ones the ``Fraction`` oracle builds.
 """
@@ -29,9 +31,10 @@ the ones the ``Fraction`` oracle builds.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
 from math import factorial, lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .engine import AStructure, Tables
 from .errors import InputError
@@ -39,8 +42,9 @@ from .graded import GradedSpace, Vector, Word
 from .report import CheckRecord, Failure, Report
 from .signs import _alpha_parity, _desusp_parity, pass_operator_sign
 
-# a cell's failing words: input word -> {defect word: scaled coefficient}
-Defects = dict[Word, dict[Word, int]]
+# a cell's failing words: input word -> {output letter b or defect word: scaled
+# coefficient}; the direct and linfty cells key by b, the coderivation cell by word
+Defects = dict[Word, dict[int, int] | dict[Word, int]]
 
 
 def active_backend() -> str:
@@ -49,7 +53,7 @@ def active_backend() -> str:
 
 
 def _top_sums(
-    tables: Tables, degrees: tuple[int, ...], n: int
+    tables: Tables, scale: int, degrees: tuple[int, ...], n: int
 ) -> Iterator[tuple[Word, dict[int, int]]]:
     """The nonzero direct sums S(x) at the arity-n words, by first letter.
 
@@ -63,7 +67,9 @@ def _top_sums(
     takes the triples one first letter at a time: the block accumulator holds
     the sums of at most dim**(n-1) words and is dropped before the next block.
     Each block's nonzero sums are yielded, and the driver keeps them all
-    for the arity's cells.
+    for the arity's cells.  The ``Fraction`` coefficients of the entries
+    are indexed as ints times ``scale``, a multiple of every denominator,
+    so the sums are ``scale**2`` times the true ones.
     """
     levels = []
     for k in range(1, n + 1):
@@ -75,11 +81,14 @@ def _top_sums(
         inner_by_first: dict[int, list[tuple[Word, int, int]]] = {}
         for v, vec in inner.items():
             for b, c in vec.items():
+                c = c.numerator * (scale // c.denominator)
                 by_output.setdefault(b, []).append((v, c))
                 inner_by_first.setdefault(v[0], []).append((v, b, c))
-        outer_by_first: dict[int, list[tuple[Word, Vector]]] = {}
+        # (u, [(b2, c_u[b2]), ...]) by u[0]
+        outer_by_first: dict[int, list[tuple[Word, list[tuple[int, int]]]]] = {}
         for u, vec in outer.items():
-            outer_by_first.setdefault(u[0], []).append((u, vec))
+            scaled = [(b, c.numerator * (scale // c.denominator)) for b, c in vec.items()]
+            outer_by_first.setdefault(u[0], []).append((u, scaled))
         levels.append((k, by_output, inner_by_first, outer_by_first))
     firsts = sorted({a for level in levels for a in (*level[2], *level[3])})
     for a in firsts:
@@ -93,7 +102,7 @@ def _top_sums(
                     c = -c
                 for u, uvec in outer_by_first.get(b, ()):
                     x = v + u[1:]
-                    for b2, c2 in uvec.items():
+                    for b2, c2 in uvec:
                         key = (x, b2)
                         block[key] = get(key, 0) + c * c2
             # lam >= 1: x = u[:lam] + v + u[lam+1:], prefix degree sum s
@@ -103,7 +112,7 @@ def _top_sums(
                     negate = _alpha_parity(k, lam, n, s)
                     pre, suf = u[:lam], u[lam + 1 :]
                     inners = by_output.get(u[lam], ())
-                    for b2, c2 in uvec.items():
+                    for b2, c2 in uvec:
                         if negate:
                             c2 = -c2
                         for v, c in inners:
@@ -118,38 +127,19 @@ def _top_sums(
 
 
 def _desuspended(
-    sums: Iterable[tuple[Word, dict[int, int]]], degrees: tuple[int, ...]
+    sums: Mapping[Word, dict[int, int]], degrees: tuple[int, ...]
 ) -> dict[Word, dict[int, int]]:
     """R(x) = sigma(x) * S(x), the one-letter part of D(D(x)) on the primed maps.
 
     sigma is the desuspension sign by which the transfer signs each entry.
+    Where sigma(x) = +1, R(x) is S(x) itself, the same dict.
     """
     out = {}
-    for x, top in sums:
+    for x, top in sums.items():
         if _desusp_parity([degrees[a] for a in x]):
             top = {b: -c for b, c in top.items()}
         out[x] = top
     return out
-
-
-def _scaled_tables(structure: AStructure, max_arity: int) -> tuple[Tables, int]:
-    """The tables of arity 1..max_arity times their common denominator.
-
-    Returns the integer tables and the scale, the lcm of the denominators
-    of every coefficient in them.
-    """
-    tables = structure.tables_up_to(max_arity)
-    scale = lcm(
-        *{c.denominator for t in tables.values() for vec in t.values() for c in vec.values()}
-    )
-    scaled = {
-        k: {
-            w: {b: c.numerator * (scale // c.denominator) for b, c in vec.items()}
-            for w, vec in t.items()
-        }
-        for k, t in tables.items()
-    }
-    return scaled, scale
 
 
 def _signed_rearrangements(w: Word, ddegs: Sequence[int]) -> Iterator[tuple[Word, int]]:
@@ -208,23 +198,26 @@ def _sweep_one(
     structure: AStructure,
     check: str,
     arity: int,
-    sums: list[tuple[Word, dict[int, int]]],
-    windows: dict[Word, Vector],
+    sums: dict[Word, dict[int, int]],
+    windows: dict[Word, dict[int, int]],
 ) -> Defects:
     """Sweep one A-infinity (check, arity) cell and return its nonzero defects.
 
     ``check`` is ``direct`` or ``coderivation``, and ``sums`` are the
-    nonzero ``_top_sums`` S(x) of the arity on the integer tables of the
-    unprimed ``structure``.  The direct check returns them.  The
+    nonzero scaled ``_top_sums`` S(x) of the arity on the tables of the
+    unprimed ``structure``.  The direct check returns them as they are.  The
     coderivation check adds each R(x) = sigma(x) * S(x)
     (``_desuspended``), the one-letter part of D(D(x)), to ``windows``, the
     bad windows of its lower arities; only this check reads or writes
     ``windows``.  D(D(.)) is again a coderivation, of even degree, so at a
     word P + x + S it is the sum over the windows x of P + R(x) + S, with
-    no sign; every defect is assembled from these placements.
+    no sign; every defect is assembled from these placements.  Their dicts
+    are this cell's own, so the zero terms of placements that cancel are
+    dropped in place; the per-word dicts of ``sums`` and ``windows``, which
+    the arity's other cells share, are never written into.
     """
     if check == "direct":
-        return {x: {(b,): c for b, c in top.items()} for x, top in sums}
+        return sums
     windows.update(_desuspended(sums, structure.space.degrees))
     defects: Defects = {}
     letters = range(structure.space.dim)
@@ -237,23 +230,38 @@ def _sweep_one(
                     for b, c in top.items():
                         w = pre + (b,) + suf
                         acc[w] = acc.get(w, 0) + c
-    pruned = {x: {w: c for w, c in acc.items() if c} for x, acc in defects.items()}
-    return {x: acc for x, acc in pruned.items() if acc}
+    for x in [x for x, acc in defects.items() if 0 in acc.values()]:
+        acc = defects[x]
+        for w in [w for w, c in acc.items() if not c]:
+            del acc[w]
+        if not acc:
+            del defects[x]
+    return defects
 
 
 def _to_record(
     space: GradedSpace, check: str, arity: int, defects: Defects, scale: int
 ) -> CheckRecord:
-    """The cell's record: failing words in order, defects divided by ``scale**2``."""
+    """The cell's record: failing words in order, defects divided by ``scale**2``.
+
+    The coderivation cell keys each defect by its defect word, the direct
+    and linfty cells by the output letter b.  Within the record, equal
+    coefficients share one ``Fraction`` and equal defect words one tuple
+    of names.
+    """
     denominator = scale * scale
     names = tuple(el.name for el in space.elements)
+    fraction = cache(lambda c: Fraction(c, denominator))
+    if check == "coderivation":
+        label = cache(lambda dw: tuple(map(names.__getitem__, dw)))
+        order = partial(sorted, key=lambda dw: (len(dw), dw))
+    else:
+        label = tuple((name,) for name in names).__getitem__
+        order = sorted
     recs = []
     for word in sorted(defects):
         defect = defects[word]
-        terms = tuple(
-            (Fraction(defect[dw], denominator), tuple(map(names.__getitem__, dw)))
-            for dw in sorted(defect, key=lambda dw: (len(dw), dw))
-        )
+        terms = tuple((fraction(defect[dw]), label(dw)) for dw in order(defect))
         recs.append(Failure(word=tuple(map(names.__getitem__, word)), defect=terms))
     return CheckRecord(
         check=check, arity=arity, words=space.dim**arity, failures=tuple(recs)
@@ -265,20 +273,22 @@ def _sweep(s: AStructure, max_arity: int, checks: tuple[str, ...]) -> Report:
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
     unprimed = s.unprimed_version()
-    tables, scale = _scaled_tables(unprimed, max_arity)
-    windows: dict[Word, Vector] = {}  # the coderivation check's bad windows
+    tables = unprimed.tables_up_to(max_arity)
+    scale = lcm(
+        *{c.denominator for t in tables.values() for vec in t.values() for c in vec.values()}
+    )
+    windows: dict[Word, dict[int, int]] = {}  # the coderivation check's bad windows
     records: dict[str, list[CheckRecord]] = {check: [] for check in checks}
     degrees = s.space.degrees
     for arity in range(1, max_arity + 1):
-        sums = list(_top_sums(tables, degrees, arity))  # shared by the arity's cells
+        sums = dict(_top_sums(tables, scale, degrees, arity))  # shared by the arity's cells
         for check in checks:
             if check == "linfty":
                 # Symmetrization carries the Gerstenhaber bracket to the
                 # Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi
                 # defect of l = Sym(m') is Sym(R), where R(x) = sigma(x) * S(x)
                 # is the one-letter part of D(D(x)).
-                jacobi = _symmetrize(_desuspended(sums, degrees), [d - 1 for d in degrees])
-                defects = {y: {(b,): c for b, c in vec.items()} for y, vec in jacobi.items()}
+                defects = _symmetrize(_desuspended(sums, degrees), [d - 1 for d in degrees])
             else:
                 defects = _sweep_one(unprimed, check, arity, sums, windows)
             records[check].append(_to_record(s.space, check, arity, defects, scale))

@@ -3,6 +3,8 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from math import lcm
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -270,16 +272,68 @@ def test_top_sums_hold_one_first_letter_at_a_time():
     assert peak < 4_000_000, f"peak traced memory {peak} bytes"
 
 
+def test_sweep_copies_neither_tables_nor_defects():
+    """The z32 sweep keeps no scaled copy of the tables and no defect copy.
+
+    Each walk indexes only its own arity's entries with scaled coefficients,
+    the cells hand their defects to the records as they are, and each record
+    builds one ``Fraction`` per distinct coefficient.  The traced peak is
+    about 0.57-0.75 MB (less when warm allocator free lists serve some
+    objects untraced); with a run-long scaled copy of the tables, a
+    ``Fraction`` per term and one-letter defects rewrapped as words it was
+    about 1.0-1.06 MB.
+    """
+    s = z32_broken()
+    tracemalloc.start()
+    try:
+        report = verify_structure(s, 3, "both")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.passed
+    assert peak < 900_000, f"peak traced memory {peak} bytes"
+
+
+def shared_terms(report: Report) -> tuple[int, int]:
+    """Count the defect terms that repeat an equal one of the same record.
+
+    Each repeated coefficient and each repeated defect word must be the
+    very object met first.  Returns the numbers of repeated coefficients
+    and of repeated defect words.
+    """
+    repeats = [0, 0]
+    for rec in report.checks:
+        first: tuple[dict, dict] = ({}, {})  # coefficients, defect words
+        for failure in rec.failures:
+            for term in failure.defect:
+                for i, value in enumerate(term):
+                    if value in first[i]:
+                        assert first[i][value] is value, (rec.check, rec.arity, value)
+                        repeats[i] += 1
+                    first[i][value] = value
+    return repeats[0], repeats[1]
+
+
+def test_records_share_equal_defect_terms():
+    """Within a record, equal coefficients are one Fraction, equal words one tuple."""
+    assert shared_terms(verify_structure(z32_broken(), 3, "both")) == (964, 906)
+    report = verify_structure(mutated_structure(), 6, "coderivation")
+    assert not report.passed
+    assert shared_terms(report) == (1134, 683)
+
+
 def triples_walked(s: AStructure, n: int) -> int:
     """The (u, lam, v) triples ``_top_sums`` walks at arity n.
 
     Each triple multiplies c_v[u[lam]] once by each coefficient of m(u), so
     on tables with one output per entry the products are the triples.  The
-    coefficients count the products they take part in; a walk that
-    multiplies far more than the triples fails at 20,000 products.
+    numerators count the products of two coefficients they take part in
+    (scaling one by an int is not such a product); a walk that multiplies
+    far more than the triples fails at 20,000 products.
     """
-    tables, _ = backend._scaled_tables(s, n)
+    tables = s.tables_up_to(n)
     assert all(len(vec) == 1 for t in tables.values() for vec in t.values())
+    scale = lcm(*{c.denominator for t in tables.values() for v in t.values() for c in v.values()})
     products = 0
 
     class Counted(int):
@@ -287,6 +341,8 @@ def triples_walked(s: AStructure, n: int) -> int:
             return Counted(-int(self))
 
         def __mul__(self, other):
+            if not isinstance(other, Counted):
+                return Counted(int(self) * other)
             nonlocal products
             products += 1
             assert products <= 20_000, "the walk multiplies too many coefficients"
@@ -294,11 +350,14 @@ def triples_walked(s: AStructure, n: int) -> int:
 
         __rmul__ = __mul__
 
-    counted = {
-        k: {w: {b: Counted(c) for b, c in vec.items()} for w, vec in t.items()}
+    def counted(c: Fraction) -> SimpleNamespace:
+        return SimpleNamespace(numerator=Counted(c.numerator), denominator=c.denominator)
+
+    counted_tables = {
+        k: {w: {b: counted(c) for b, c in vec.items()} for w, vec in t.items()}
         for k, t in tables.items()
     }
-    list(backend._top_sums(counted, s.space.degrees, n))
+    list(backend._top_sums(counted_tables, scale, s.space.degrees, n))
     assert products == triple_count(tables, n)
     return products
 
@@ -318,9 +377,9 @@ def test_every_check_walks_each_arity_once(monkeypatch):
     calls = []
     top_sums = backend._top_sums
 
-    def counting(tables, degrees, n):
+    def counting(tables, scale, degrees, n):
         calls.append(n)
-        return top_sums(tables, degrees, n)
+        return top_sums(tables, scale, degrees, n)
 
     def no_transfer(*args):
         raise AssertionError("a sweep built the primed maps")

@@ -88,9 +88,15 @@ MUTANTS = (
     Mutant("_sweep_one: lower-arity windows dropped", "src/ainfty/_backend.py",
            "windows.update(_desuspended(sums, structure.space.degrees))",
            "windows = _desuspended(sums, structure.space.degrees)"),
+    Mutant("_sweep_one: in-place prune keeps zero terms", "src/ainfty/_backend.py",
+           "for w in [w for w, c in acc.items() if not c]:", "for w in []:"),
     Mutant("_to_record: defect terms sorted by word only", "src/ainfty/_backend.py",
-           "for dw in sorted(defect, key=lambda dw: (len(dw), dw))",
-           "for dw in sorted(defect)"),
+           "order = partial(sorted, key=lambda dw: (len(dw), dw))", "order = sorted"),
+    Mutant("_to_record: one-letter terms left unsorted", "src/ainfty/_backend.py",
+           "order = sorted\n", "order = list\n"),
+    Mutant("_to_record: shared Fraction keyed by abs(c)", "src/ainfty/_backend.py",
+           "fraction = cache(lambda c: Fraction(c, denominator))",
+           "fraction = lambda c, kept={}: kept.setdefault(abs(c), Fraction(c, denominator))"),
     Mutant("_symmetrize: odd-repeat cancellation dropped", "src/ainfty/_backend.py",
            "if len(odd) != len(set(odd)):", "if False:"),
     Mutant("_signed_rearrangements: passed letters ignored", "src/ainfty/_backend.py",

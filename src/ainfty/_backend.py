@@ -2,10 +2,10 @@
 
 The per-word defect functions in ``engine`` and ``linfty`` are the
 reference implementation.  ``_sweep`` is the one driver of all three
-checks, behind ``verify_structure`` and ``verify_linfty``: it
-validates the request, walks each arity once on the scaled maps,
-hands the sums to each of its cells, and turns the nonzero defects into
-report records in a deterministic order.  No cell visits every word.
+checks, behind ``verify_structure`` and ``verify_linfty``: it validates
+the request, walks every arity once on the scaled maps (phase 1), and
+only then builds one report record per (check, arity) cell (phase 2),
+from phase 1's read-only lists alone.  No cell visits every word.
 The walk, ``_top_sums``, goes over the (outer entry, position, inner
 entry) triples of the unprimed tables and adds each signed term straight
 into the direct sum S(x) of the word it belongs to, one first letter at a
@@ -13,7 +13,9 @@ time.  The direct cell reports the nonzero S(x); the coderivation cell
 places, and the linfty cell symmetrizes, the one-letter parts
 R(x) = sigma(x) * S(x) of D(D(x)) (``_desuspended``).  Every other word
 is zero by construction, so each record still certifies all ``dim**n``
-words.
+words.  Every verdict is fixed by phase 1: direct and coderivation fail
+exactly when some S(x) is nonzero, since only the window x itself puts a
+one-letter defect on x, and linfty exactly when some Sym(R) is nonzero.
 
 All three sweeps run on Python ints.  ``_sweep`` takes ``scale``, the
 lcm of the denominators of every table coefficient, once per run, and
@@ -66,8 +68,8 @@ def _top_sums(
     x starts with v[0] when lam = 0 and with u[0] otherwise, so the walk
     takes the triples one first letter at a time: the block accumulator holds
     the sums of at most dim**(n-1) words and is dropped before the next block.
-    Each block's nonzero sums are yielded, and the driver keeps them all
-    for the arity's cells.  The ``Fraction`` coefficients of the entries
+    Each block's nonzero sums are yielded, and the driver keeps those of
+    every arity for the cells.  The ``Fraction`` coefficients of the entries
     are indexed as ints times ``scale``, a multiple of every denominator,
     so the sums are ``scale**2`` times the true ones.
     """
@@ -199,29 +201,26 @@ def _sweep_one(
     check: str,
     arity: int,
     sums: dict[Word, dict[int, int]],
-    windows: dict[Word, dict[int, int]],
+    windows: Sequence[dict[Word, dict[int, int]]],
 ) -> Defects:
     """Sweep one A-infinity (check, arity) cell and return its nonzero defects.
 
     ``check`` is ``direct`` or ``coderivation``, and ``sums`` are the
     nonzero scaled ``_top_sums`` S(x) of the arity on the tables of the
     unprimed ``structure``.  The direct check returns them as they are.  The
-    coderivation check adds each R(x) = sigma(x) * S(x)
-    (``_desuspended``), the one-letter part of D(D(x)), to ``windows``, the
-    bad windows of its lower arities; only this check reads or writes
-    ``windows``.  D(D(.)) is again a coderivation, of even degree, so at a
+    coderivation check places ``windows``, one dict per arity 1..arity of
+    the bad windows R(x) = sigma(x) * S(x) (``_desuspended``), the one-letter
+    part of D(D(x)).  D(D(.)) is again a coderivation, of even degree, so at a
     word P + x + S it is the sum over the windows x of P + R(x) + S, with
     no sign; every defect is assembled from these placements.  Their dicts
     are this cell's own, so the zero terms of placements that cancel are
-    dropped in place; the per-word dicts of ``sums`` and ``windows``, which
-    the arity's other cells share, are never written into.
+    dropped in place; nothing the cell is handed is written into.
     """
     if check == "direct":
         return sums
-    windows.update(_desuspended(sums, structure.space.degrees))
     defects: Defects = {}
     letters = range(structure.space.dim)
-    for x, top in windows.items():
+    for x, top in (item for level in windows for item in level.items()):
         pad = arity - len(x)
         for i in range(pad + 1):
             for pre in product(letters, repeat=i):
@@ -277,27 +276,22 @@ def _sweep(s: AStructure, max_arity: int, checks: tuple[str, ...]) -> Report:
     scale = lcm(
         *{c.denominator for t in tables.values() for vec in t.values() for c in vec.values()}
     )
-    windows: dict[Word, dict[int, int]] = {}  # the coderivation check's bad windows
-    records: dict[str, list[CheckRecord]] = {check: [] for check in checks}
-    degrees = s.space.degrees
-    for arity in range(1, max_arity + 1):
-        sums = dict(_top_sums(tables, scale, degrees, arity))  # shared by the arity's cells
-        for check in checks:
-            if check == "linfty":
-                # Symmetrization carries the Gerstenhaber bracket to the
-                # Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi
-                # defect of l = Sym(m') is Sym(R), where R(x) = sigma(x) * S(x)
-                # is the one-letter part of D(D(x)).
-                defects = _symmetrize(_desuspended(sums, degrees), [d - 1 for d in degrees])
-            else:
-                defects = _sweep_one(unprimed, check, arity, sums, windows)
-            records[check].append(_to_record(s.space, check, arity, defects, scale))
-    return Report(
-        structure=s.name,
-        convention=s.space.convention,
-        max_arity=max_arity,
-        checks=tuple(rec for check in checks for rec in records[check]),
-    )
+    degrees, arities = s.space.degrees, range(1, max_arity + 1)
+    # phase 1, by arity n at index n - 1: the sums S and the bad windows R
+    sums = [dict(_top_sums(tables, scale, degrees, n)) for n in arities]
+    windows = [_desuspended(top, degrees) for top in sums]
+
+    def cell(check: str, n: int) -> Defects:
+        if check == "linfty":
+            # Symmetrization carries the Gerstenhaber bracket to the
+            # Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi
+            # defect of l = Sym(m') is Sym(R).
+            return _symmetrize(windows[n - 1], [d - 1 for d in degrees])
+        return _sweep_one(unprimed, check, n, sums[n - 1], windows[:n])
+
+    # phase 2: one record per (check, arity) cell, check by check
+    records = (_to_record(s.space, c, n, cell(c, n), scale) for c in checks for n in arities)
+    return Report(s.name, s.space.convention, max_arity, tuple(records))
 
 
 def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Report:

@@ -96,13 +96,14 @@ def apply_map(m: MultiMap, w: Word) -> Vector:
 
 
 def _transfer(m: MultiMap, primed: bool) -> MultiMap:
+    """``m``'s entries times their transfer signs; the validated words stay."""
     k = m.arity
     table: dict[Word, Vector] = {}
     for w, vec in m.table.items():
         degs = [m.space.degree(i) for i in w]
         s = susp_iso_sign(k) * desusp_word_sign(degs) * susp_iso_sign(k)
         table[w] = {b: s * c for b, c in vec.items()}
-    return MultiMap(m.space, k, table, primed=primed)
+    return MultiMap._raw(m.space, k, table, primed)
 
 
 def prime(m: MultiMap) -> MultiMap:

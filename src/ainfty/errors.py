@@ -39,9 +39,16 @@ class Value:
         cls._values = staticmethod(attrgetter(*cls._fields))  # called as self._values(self)
 
     def _set(self, *values: object) -> None:
-        """Store ``values`` in the slots named by ``_fields``; only ``__init__`` calls it."""
+        """Fill the ``_fields`` slots with ``values``; only ``__init__`` and ``_raw`` call it."""
         for name, value in zip(self._fields, values):
             _setattr(self, name, value)
+
+    @classmethod
+    def _raw(cls, *fields: object):
+        """A value holding ``fields`` as given: no copy, no check, no ``__init__``."""
+        self = cls.__new__(cls)
+        self._set(*fields)
+        return self
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

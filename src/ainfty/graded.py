@@ -159,13 +159,6 @@ class TensorPoly(Value):
             space.check_word(w)
         self._set(space, normalize_vector(terms))
 
-    @classmethod
-    def _raw(cls, space: GradedSpace, terms: dict[Word, Fraction]) -> "TensorPoly":
-        """Wrap an already-normalized term dict without copying or checking."""
-        self = cls.__new__(cls)
-        self._set(space, terms)
-        return self
-
     def is_zero(self) -> bool:
         return not self.terms
 

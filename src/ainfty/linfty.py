@@ -49,14 +49,15 @@ def symmetrize_prime(mp: MultiMap) -> MultiMap:
     """Sum a transferred map over all Koszul-signed permutations of its inputs.
 
     See ``_backend._symmetrize``.  The result is a primed map, checked
-    graded-symmetric before it is returned.
+    graded-symmetric before it is returned.  Its entries permute the words
+    of ``mp``'s, with the same output letters, so they are not checked again.
     """
     if not mp.primed:
         raise InputError("symmetrization is defined for primed maps")
     ddegs = [d - 1 for d in mp.space.degrees]
     table = _symmetrize(mp.table, ddegs)
     _check_graded_symmetric(mp.space, table)
-    return MultiMap(mp.space, mp.arity, table, primed=True)
+    return MultiMap._raw(mp.space, mp.arity, table, True)
 
 
 def unshuffles(i: int, r: int) -> list[tuple[int, ...]]:

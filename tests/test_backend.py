@@ -397,6 +397,39 @@ def test_every_check_walks_each_arity_once(monkeypatch):
     assert calls == list(range(1, 5))
 
 
+def test_every_walk_comes_before_the_first_record(monkeypatch):
+    """Phase 1 walks arities 1..N; only then does phase 2 build records.
+
+    The records follow check by check, arity ascending, so every verdict is
+    fixed before the first record exists.
+    """
+    events = []
+    top_sums, to_record = backend._top_sums, backend._to_record
+
+    def walking(tables, scale, degrees, n):
+        events.append(("walk", n))
+        return top_sums(tables, scale, degrees, n)
+
+    def recording(space, check, arity, defects, scale):
+        events.append(("record", check, arity))
+        return to_record(space, check, arity, defects, scale)
+
+    monkeypatch.setattr(backend, "_top_sums", walking)
+    monkeypatch.setattr(backend, "_to_record", recording)
+    a_infinity = ("direct", "coderivation")
+    runs = [
+        (lambda: verify_structure(example_structure(), 8, "both"), 8, a_infinity, True),
+        (lambda: verify_structure(mutated_structure(), 5, "both"), 5, a_infinity, False),
+        (lambda: verify_linfty(mutated_structure(), 4), 4, ("linfty",), False),
+    ]
+    for run, max_arity, checks, passed in runs:
+        events.clear()
+        assert run().passed is passed
+        arities = range(1, max_arity + 1)
+        walks = [("walk", n) for n in arities]
+        assert events == walks + [("record", check, n) for check in checks for n in arities]
+
+
 def test_sweeps_never_evaluate_a_word(monkeypatch):
     """No sweep runs the literal oracles; every D route goes through one core."""
     calls = []
@@ -471,13 +504,18 @@ def test_one_letter_part_is_desuspension_signed_direct_defect(s):
             assert one_letter_part(primed, x) == {(b,): sigma * c for b, c in direct.items()}
 
 
-def test_coderivation_placements_that_cancel_are_not_reported():
-    """Two bad windows of a t a put opposite coefficients on the word a a."""
-    s = parse_structure(
+def cancelling_structure() -> AStructure:
+    """The bad windows a t and t a of a t a cancel on the word a a."""
+    return parse_structure(
         "ainfty v1\nconvention cochain\nbasis a 0\nbasis t -1\n"
         "map 1: t -> 1 a\nmap 2: a t -> 1 t\nmap 2: t a -> 1 t\n",
         name="cancel",
     )
+
+
+def test_coderivation_placements_that_cancel_are_not_reported():
+    """Two bad windows of a t a put opposite coefficients on the word a a."""
+    s = cancelling_structure()
     a, t = 0, 1
     primed = s.primed_version()
     assert one_letter_part(primed, (a, t)) == {(a,): 1}
@@ -504,3 +542,35 @@ def test_coderivation_windows_of_two_arities_add_into_one_defect():
     assert report == oracle_report(s, 5, checks=("coderivation",))
     failure = next(f for f in report.checks[2].failures if f.word == ("a", "a", "a"))
     assert len(failure.defect) == len(defect)
+
+
+def phase_one_verdicts(s: AStructure, max_arity: int) -> tuple[bool, bool]:
+    """The A-infinity and linfty verdicts read off the sums S alone.
+
+    The A-infinity checks pass exactly when every S is zero, linfty exactly
+    when every Sym(R) is, with R = sigma * S the bad windows.
+    """
+    tables = s.unprimed_version().tables_up_to(max_arity)
+    scale = lcm(*{c.denominator for t in tables.values() for v in t.values() for c in v.values()})
+    degrees = s.space.degrees
+    sums = [dict(backend._top_sums(tables, scale, degrees, n)) for n in range(1, max_arity + 1)]
+    ddegs = [d - 1 for d in degrees]
+    windows = [backend._desuspended(top, degrees) for top in sums]
+    return not any(sums), not any(backend._symmetrize(r, ddegs) for r in windows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_structures(max_arity=4, min_dim=2, max_dim=3, min_degree=-2, max_degree=3))
+@example(cancelling_structure())
+def test_phase_one_fixes_every_verdict(s):
+    """Direct and coderivation fail exactly when some S(x) is nonzero.
+
+    Of the windows placed on a word x, only x itself puts a one-letter
+    defect on x, so a nonzero S(x) cannot cancel in the coderivation check;
+    the cancelling structure cancels at a longer word only.
+    """
+    a_infinity, linfty = phase_one_verdicts(s, 4)
+    direct = verify_structure(s, 4, "direct").passed
+    coderivation = verify_structure(s, 4, "coderivation").passed
+    assert direct is coderivation is a_infinity
+    assert verify_linfty(s, 4).passed is linfty

@@ -14,6 +14,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from ainfty import (
     BasisElement,
@@ -24,7 +25,11 @@ from ainfty import (
     MultiMap,
     Report,
     TensorPoly,
+    prime,
+    symmetrize_prime,
+    unprime,
 )
+from conftest import homogeneous_multimaps
 
 A, B = BasisElement("a", 0), BasisElement("b", 1)
 SPACE = GradedSpace((A, B), "chain")
@@ -158,3 +163,17 @@ def test_validation_messages(build, message):
     with pytest.raises(InputError) as info:
         build()
     assert str(info.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_multimaps(max_arity=4))
+def test_derived_maps_are_the_checked_values(m):
+    """The transfer and the symmetrization build their results unchecked.
+
+    They derive every entry from a checked map with the same letters, so
+    ``MultiMap._raw`` stores what ``MultiMap(...)`` would have built.
+    """
+    for derived in (prime(m), unprime(prime(m)), symmetrize_prime(prime(m))):
+        checked = MultiMap(derived.space, derived.arity, derived.table, derived.primed)
+        assert derived == checked
+        assert all(type(c) is Fraction for vec in derived.table.values() for c in vec.values())

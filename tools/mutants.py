@@ -86,8 +86,12 @@ MUTANTS = (
     Mutant("_sweep_one: last placement offset dropped", "src/ainfty/_backend.py",
            "for i in range(pad + 1):", "for i in range(pad):"),
     Mutant("_sweep_one: lower-arity windows dropped", "src/ainfty/_backend.py",
-           "windows.update(_desuspended(sums, structure.space.degrees))",
-           "windows = _desuspended(sums, structure.space.degrees)"),
+           "(item for level in windows for item in level.items())", "windows[-1].items()"),
+    Mutant("_sweep phase 1: arities walked off by one", "src/ainfty/_backend.py",
+           "_top_sums(tables, scale, degrees, n)) for n in arities]",
+           "_top_sums(tables, scale, degrees, n)) for n in range(max_arity)]"),
+    Mutant("_sweep phase 2: whole-word windows dropped", "src/ainfty/_backend.py",
+           "sums[n - 1], windows[:n])", "sums[n - 1], windows[:n - 1])"),
     Mutant("_sweep_one: in-place prune keeps zero terms", "src/ainfty/_backend.py",
            "for w in [w for w, c in acc.items() if not c]:", "for w in []:"),
     Mutant("_to_record: defect terms sorted by word only", "src/ainfty/_backend.py",

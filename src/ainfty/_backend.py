@@ -44,9 +44,9 @@ from .graded import GradedSpace, Vector, Word
 from .report import CheckRecord, Failure, Report
 from .signs import _alpha_parity, _desusp_parity, pass_operator_sign
 
-# a cell's failing words: input word -> {output letter b or defect word: scaled
-# coefficient}; the direct and linfty cells key by b, the coderivation cell by word
-Defects = dict[Word, dict[int, int] | dict[Word, int]]
+# a cell's failing words: input word -> {defect word: scaled coefficient}; the
+# direct and linfty defects are one-letter words (b,)
+Defects = dict[Word, dict[Word, int]]
 
 
 def active_backend() -> str:
@@ -56,7 +56,7 @@ def active_backend() -> str:
 
 def _top_sums(
     tables: Tables, scale: int, degrees: tuple[int, ...], n: int
-) -> Iterator[tuple[Word, dict[int, int]]]:
+) -> Iterator[tuple[Word, dict[Word, int]]]:
     """The nonzero direct sums S(x) at the arity-n words, by first letter.
 
     S(x) = sum alpha * m_{n-k+1}(x[:lam] + m_k(x[lam:lam+k]) + x[lam+k:]).
@@ -68,10 +68,11 @@ def _top_sums(
     x starts with v[0] when lam = 0 and with u[0] otherwise, so the walk
     takes the triples one first letter at a time: the block accumulator holds
     the sums of at most dim**(n-1) words and is dropped before the next block.
-    Each block's nonzero sums are yielded, and the driver keeps those of
-    every arity for the cells.  The ``Fraction`` coefficients of the entries
-    are indexed as ints times ``scale``, a multiple of every denominator,
-    so the sums are ``scale**2`` times the true ones.
+    Each block's nonzero sums are yielded, keyed by the one-letter defect
+    words (b,), one tuple per letter for the whole walk, and the driver keeps
+    those of every arity for the cells.  The ``Fraction`` coefficients of the
+    entries are indexed as ints times ``scale``, a multiple of every
+    denominator, so the sums are ``scale**2`` times the true ones.
     """
     levels = []
     for k in range(1, n + 1):
@@ -92,6 +93,7 @@ def _top_sums(
             scaled = [(b, c.numerator * (scale // c.denominator)) for b, c in vec.items()]
             outer_by_first.setdefault(u[0], []).append((u, scaled))
         levels.append((k, by_output, inner_by_first, outer_by_first))
+    letter = [(b,) for b in range(len(degrees))]
     firsts = sorted({a for level in levels for a in (*level[2], *level[3])})
     for a in firsts:
         block: dict[tuple[Word, int], int] = {}
@@ -121,16 +123,14 @@ def _top_sums(
                             key = (pre + v + suf, b2)
                             block[key] = get(key, 0) + c * c2
                     s += degrees[u[lam]]
-        tops: dict[Word, dict[int, int]] = {}
+        tops: dict[Word, dict[Word, int]] = {}
         for (x, b), c in block.items():
             if c:
-                tops.setdefault(x, {})[b] = c
+                tops.setdefault(x, {})[letter[b]] = c
         yield from tops.items()
 
 
-def _desuspended(
-    sums: Mapping[Word, dict[int, int]], degrees: tuple[int, ...]
-) -> dict[Word, dict[int, int]]:
+def _desuspended(sums: Defects, degrees: tuple[int, ...]) -> Defects:
     """R(x) = sigma(x) * S(x), the one-letter part of D(D(x)) on the primed maps.
 
     sigma is the desuspension sign by which the transfer signs each entry.
@@ -139,7 +139,7 @@ def _desuspended(
     out = {}
     for x, top in sums.items():
         if _desusp_parity([degrees[a] for a in x]):
-            top = {b: -c for b, c in top.items()}
+            top = {w: -c for w, c in top.items()}
         out[x] = top
     return out
 
@@ -200,8 +200,8 @@ def _sweep_one(
     structure: AStructure,
     check: str,
     arity: int,
-    sums: dict[Word, dict[int, int]],
-    windows: Sequence[dict[Word, dict[int, int]]],
+    sums: Defects,
+    windows: Sequence[Defects],
 ) -> Defects:
     """Sweep one A-infinity (check, arity) cell and return its nonzero defects.
 
@@ -226,8 +226,8 @@ def _sweep_one(
             for pre in product(letters, repeat=i):
                 for suf in product(letters, repeat=pad - i):
                     acc = defects.setdefault(pre + x + suf, {})
-                    for b, c in top.items():
-                        w = pre + (b,) + suf
+                    for dw, c in top.items():
+                        w = pre + dw + suf
                         acc[w] = acc.get(w, 0) + c
     for x in [x for x, acc in defects.items() if 0 in acc.values()]:
         acc = defects[x]
@@ -243,20 +243,16 @@ def _to_record(
 ) -> CheckRecord:
     """The cell's record: failing words in order, defects divided by ``scale**2``.
 
-    The coderivation cell keys each defect by its defect word, the direct
-    and linfty cells by the output letter b.  Within the record, equal
+    Every cell keys each defect by its defect word; the terms of a defect
+    are ordered by length, then word.  Within the record, equal
     coefficients share one ``Fraction`` and equal defect words one tuple
     of names.
     """
     denominator = scale * scale
     names = tuple(el.name for el in space.elements)
     fraction = cache(lambda c: Fraction(c, denominator))
-    if check == "coderivation":
-        label = cache(lambda dw: tuple(map(names.__getitem__, dw)))
-        order = partial(sorted, key=lambda dw: (len(dw), dw))
-    else:
-        label = tuple((name,) for name in names).__getitem__
-        order = sorted
+    label = cache(lambda dw: tuple(map(names.__getitem__, dw)))
+    order = partial(sorted, key=lambda dw: (len(dw), dw))
     recs = []
     for word in sorted(defects):
         defect = defects[word]

@@ -220,16 +220,18 @@ def run_cli(argv: list[str] | None = None) -> int:
         os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_USAGE
     except (AinftyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130  # 128 + SIGINT, as a shell reports a process it interrupted
-    except Exception as exc:  # a bug, not a verdict: keep exit 1 for defects
+    except Exception as exc:  # no memory, or a bug: exit 1 is kept for defects
+        # CPython 3.11 raises this SystemError, not MemoryError, when a new frame finds no memory
+        lost_frame = repr(exc) == "SystemError('error return without exception set')"
+        if lost_frame or isinstance(exc, MemoryError):
+            print("error: out of memory", file=sys.stderr)
+            return EXIT_USAGE
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -176,7 +176,8 @@ def parse_structure(text: str, name: str = "structure") -> AStructure:
     except InputError as exc:
         raise ParseError(str(exc), lineno) from None
 
-    maps = {k: MultiMap(space, k, table) for k, table in tables.items()}
+    # the parser's checks, stricter than MultiMap's, have passed every entry
+    maps = {k: MultiMap._raw(space, k, table, False) for k, table in tables.items()}
     return AStructure(space, maps=maps, primed=False, name=name)
 
 

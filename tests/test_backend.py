@@ -4,6 +4,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +33,8 @@ import ainfty.engine as engine
 from ainfty.signs import desusp_word_sign
 from conftest import nonzero_coefficients, random_structures
 from test_engine import mutated_structure
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def oracle_report(
@@ -428,6 +431,35 @@ def test_every_walk_comes_before_the_first_record(monkeypatch):
         arities = range(1, max_arity + 1)
         walks = [("walk", n) for n in arities]
         assert events == walks + [("record", check, n) for check in checks for n in arities]
+
+
+def test_every_cell_keys_its_defects_by_word(monkeypatch):
+    """Every cell hands ``_to_record`` one shape: defects keyed by defect word.
+
+    The direct and linfty defects are one-letter words, the coderivation
+    defects words of any length; none is keyed by a bare letter.
+    """
+    keys = {}
+    to_record = backend._to_record
+
+    def recording(space, check, arity, defects, scale):
+        keys.setdefault(check, []).extend(dw for defect in defects.values() for dw in defect)
+        return to_record(space, check, arity, defects, scale)
+
+    monkeypatch.setattr(backend, "_to_record", recording)
+    sparse = parse_structure((CORPUS / "sparse-orbits.astr").read_text(), name="sparse")
+    for s, max_arity in ((z32_broken(), 3), (mutated_structure(), 4), (sparse, 4)):
+        keys.clear()
+        assert not verify_structure(s, max_arity, "both").passed
+        assert not verify_linfty(s, max_arity).passed
+        assert set(keys) == {"direct", "coderivation", "linfty"}
+        letters = range(s.space.dim)
+        for check, found in keys.items():
+            for dw in found:
+                assert type(dw) is tuple and dw, (check, dw)
+                assert all(type(b) is int and b in letters for b in dw), (check, dw)
+            if check != "coderivation":
+                assert {len(dw) for dw in found} == {1}, check
 
 
 def test_sweeps_never_evaluate_a_word(monkeypatch):

@@ -182,9 +182,10 @@ def test_lemma1_rejects_nonpositive_arity(capsys):
     assert "max_arity" in captured.err
 
 
-def test_internal_error_exits_three(monkeypatch, capsys):
+@pytest.mark.parametrize("error", [RuntimeError, SystemError])
+def test_internal_error_exits_three(monkeypatch, capsys, error):
     def broken(args):
-        raise RuntimeError("invariant violated")
+        raise error("invariant violated")
 
     monkeypatch.setitem(cli._COMMANDS, "verify", broken)
     code = run_cli(["verify", "--max-arity", "2"])
@@ -285,9 +286,13 @@ def test_out_of_memory_exits_two_with_one_line():
     assert child.stderr == "error: out of memory\n"
 
 
-def test_memory_error_exits_two(monkeypatch, capsys):
+# CPython 3.11 raises the SystemError when a new Python frame finds no memory
+@pytest.mark.parametrize(
+    "error", [MemoryError(), SystemError("error return without exception set")]
+)
+def test_memory_error_exits_two(monkeypatch, capsys, error):
     def no_memory(*args, **kwargs):
-        raise MemoryError
+        raise error
 
     monkeypatch.setattr(cli, "verify_structure", no_memory)
     code = run_cli(["verify", "--max-arity", "2"])

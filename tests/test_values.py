@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from ainfty import (
+    AStructure,
     BasisElement,
     CheckRecord,
     Failure,
@@ -25,7 +26,9 @@ from ainfty import (
     MultiMap,
     Report,
     TensorPoly,
+    parse_structure,
     prime,
+    serialize_structure,
     symmetrize_prime,
     unprime,
 )
@@ -168,12 +171,20 @@ def test_validation_messages(build, message):
 @settings(max_examples=60, deadline=None)
 @given(homogeneous_multimaps(max_arity=4))
 def test_derived_maps_are_the_checked_values(m):
-    """The transfer and the symmetrization build their results unchecked.
+    """The transfer, the symmetrization and the parser build their maps unchecked.
 
-    They derive every entry from a checked map with the same letters, so
+    The first two derive every entry from a checked map with the same
+    letters, and the parser checks every entry of the file itself, so
     ``MultiMap._raw`` stores what ``MultiMap(...)`` would have built.
     """
-    for derived in (prime(m), unprime(prime(m)), symmetrize_prime(prime(m))):
+    parsed = []
+    for convention in ("cochain", "chain"):
+        space = GradedSpace(m.space.elements, convention)
+        text = serialize_structure(AStructure(space, {m.arity: MultiMap(space, m.arity, m.table)}))
+        s = parse_structure(text)
+        parsed += [s.map_at(k) for k in s.arities]
+    assert len(parsed) == (2 if m.table else 0)
+    for derived in (prime(m), unprime(prime(m)), symmetrize_prime(prime(m)), *parsed):
         checked = MultiMap(derived.space, derived.arity, derived.table, derived.primed)
         assert derived == checked
         assert all(type(c) is Fraction for vec in derived.table.values() for c in vec.values())

@@ -83,6 +83,8 @@ MUTANTS = (
            "stabilizer = prod(factorial(w.count(b)) for b in set(w))", "stabilizer = 1"),
     Mutant("_top_sums: lam = 0 sign dropped", "src/ainfty/_backend.py",
            "negate = _alpha_parity(k, 0, n, 0)", "negate = 0"),
+    Mutant("_top_sums: every S(x) keyed by letter 0's word", "src/ainfty/_backend.py",
+           "letter = [(b,) for b in range(len(degrees))]", "letter = [(0,)] * len(degrees)"),
     Mutant("_sweep_one: last placement offset dropped", "src/ainfty/_backend.py",
            "for i in range(pad + 1):", "for i in range(pad):"),
     Mutant("_sweep_one: lower-arity windows dropped", "src/ainfty/_backend.py",
@@ -96,8 +98,8 @@ MUTANTS = (
            "for w in [w for w, c in acc.items() if not c]:", "for w in []:"),
     Mutant("_to_record: defect terms sorted by word only", "src/ainfty/_backend.py",
            "order = partial(sorted, key=lambda dw: (len(dw), dw))", "order = sorted"),
-    Mutant("_to_record: one-letter terms left unsorted", "src/ainfty/_backend.py",
-           "order = sorted\n", "order = list\n"),
+    Mutant("_to_record: defect terms left unsorted", "src/ainfty/_backend.py",
+           "order = partial(sorted, key=lambda dw: (len(dw), dw))", "order = list"),
     Mutant("_to_record: shared Fraction keyed by abs(c)", "src/ainfty/_backend.py",
            "fraction = cache(lambda c: Fraction(c, denominator))",
            "fraction = lambda c, kept={}: kept.setdefault(abs(c), Fraction(c, denominator))"),

@@ -33,7 +33,7 @@ the ones the ``Fraction`` oracle builds.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import product
 from math import factorial, lcm, prod
 from typing import Iterator, Mapping, Sequence
@@ -41,7 +41,7 @@ from typing import Iterator, Mapping, Sequence
 from .engine import AStructure, Tables
 from .errors import InputError
 from .graded import GradedSpace, Vector, Word
-from .report import CheckRecord, Failure, Report
+from .report import CheckRecord, Failure, Report, _term_order
 from .signs import _alpha_parity, _desusp_parity, pass_operator_sign
 
 # a cell's failing words: input word -> {defect word: scaled coefficient}; the
@@ -244,7 +244,7 @@ def _to_record(
     """The cell's record: failing words in order, defects divided by ``scale**2``.
 
     Every cell keys each defect by its defect word; the terms of a defect
-    are ordered by length, then word.  Within the record, equal
+    are in ``_term_order``, as ``d2`` prints them.  Within the record, equal
     coefficients share one ``Fraction`` and equal defect words one tuple
     of names.
     """
@@ -252,11 +252,10 @@ def _to_record(
     names = tuple(el.name for el in space.elements)
     fraction = cache(lambda c: Fraction(c, denominator))
     label = cache(lambda dw: tuple(map(names.__getitem__, dw)))
-    order = partial(sorted, key=lambda dw: (len(dw), dw))
     recs = []
     for word in sorted(defects):
         defect = defects[word]
-        terms = tuple((fraction(defect[dw]), label(dw)) for dw in order(defect))
+        terms = tuple((fraction(defect[dw]), label(dw)) for dw in _term_order(defect))
         recs.append(Failure(word=tuple(map(names.__getitem__, word)), defect=terms))
     return CheckRecord(
         check=check, arity=arity, words=space.dim**arity, failures=tuple(recs)

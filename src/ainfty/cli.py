@@ -15,13 +15,14 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable
 
 from ._backend import verify_linfty, verify_structure
 from .engine import AStructure, apply_map, d_squared, prime
 from .errors import AinftyError, InputError
 from .example import BUILTIN_STRUCTURES, lemma1_check
 from .formats import parse_structure
-from .report import _digit_limit, _format_terms, _pieces
+from .report import _digit_limit, _format_terms, _pieces, _term_order, _utf8
 from .report import emit_report  # unused here: perfbench/trace_cli.py wraps cli.emit_report
 
 EXIT_PASS = 0
@@ -114,6 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to stdout as ``_utf8`` encodes them, whatever the locale."""
+    for piece in _utf8(pieces):
+        sys.stdout.buffer.write(piece)
+    sys.stdout.flush()  # a closed stdout fails here, not at exit
+
+
 def _refuse_unprintable(dim: int, max_arity: int, n_checks: int, fmt: str) -> None:
     """Refuse, before any sweep, a report with an integer too long to print.
 
@@ -151,8 +159,7 @@ def _cmd_sweep(args) -> int:
         report = verify_linfty(s, args.max_arity)
     else:
         report = verify_structure(s, args.max_arity, mode=args.check)
-    for piece in _pieces(report, args.format):
-        sys.stdout.buffer.write(piece)
+    _write(_pieces(report, args.format))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -163,8 +170,8 @@ def _cmd_lemma1(args) -> int:
     for n in range(1, args.max_arity + 1):
         good = lemma1_check(n)
         ok = ok and good
-        print(f"arity {n}: transferred map matches closed form: {'yes' if good else 'NO'}")
-    print(f"result: {'PASS' if ok else 'FAIL'}")
+        _write([f"arity {n}: transferred map matches closed form: {'yes' if good else 'NO'}\n"])
+    _write([f"result: {'PASS' if ok else 'FAIL'}\n"])
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -179,7 +186,7 @@ def _cmd_apply(args) -> int:
     if args.primed and m is not None:
         m = prime(m)
     vec = {} if m is None else apply_map(m, word)
-    print(_format_terms((c, (s.space.name(b),)) for b, c in sorted(vec.items())))
+    _write([_format_terms((c, (s.space.name(b),)) for b, c in sorted(vec.items())) + "\n"])
     return EXIT_PASS
 
 
@@ -187,8 +194,8 @@ def _cmd_d2(args) -> int:
     s = _load_structure(args)
     word = _parse_word(s, args.word)
     result = d_squared(s.primed_version(), word)
-    words = sorted(result.terms, key=lambda w: (len(w), w))
-    print(_format_terms((result.terms[w], result.space.word_names(w)) for w in words))
+    words = _term_order(result.terms)
+    _write([_format_terms((result.terms[w], result.space.word_names(w)) for w in words) + "\n"])
     return EXIT_PASS if result.is_zero() else EXIT_FAIL
 
 
@@ -209,9 +216,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # a closed stdout fails here, not at exit
-        return code
+        return _COMMANDS[args.command](args)
     except BrokenPipeError as exc:
         # the reader is gone: send what stdout still buffers to devnull, so
         # that Python's flush at exit prints nothing more

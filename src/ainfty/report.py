@@ -1,11 +1,11 @@
 """Machine-readable verification outcomes and their two output formats.
 
-``_pieces`` yields a report as UTF-8 ``bytes`` pieces, in either format: the
-text layout one line at a time, the machine layout record by record and
-failure by failure, so a writer never holds the rendered report whole.
-Before the first piece it checks every integer the format prints against
-Python's int-to-str digit limit, so a refused report writes nothing.
-``emit_report`` joins the pieces into the whole report.
+``_pieces`` yields a report in pieces, in either format: the text layout
+one line at a time, the machine layout record by record and failure by
+failure, so a writer never holds the rendered report whole.  Before the
+first piece it checks every integer the format prints against Python's
+int-to-str digit limit, so a refused report writes nothing.  ``_utf8``
+encodes every piece of stdout; ``emit_report`` joins a whole report's.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .errors import InputError, Value
 
 # A defect term: exact coefficient on a tensor word of basis names.
 DefectTerm = tuple[Fraction, tuple[str, ...]]
+# the ten line ends of str.splitlines(): names in text print each as its Python escape
+_ONE_LINE = {ord(c): repr(c)[1:-1] for c in "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 class Failure(Value):
@@ -74,13 +76,18 @@ class Report(Value):
         return sum(len(rec.failures) for rec in self.checks)
 
 
+def _term_order(words: Iterable[tuple]) -> list[tuple]:
+    """The words of a defect's terms in print order: by length, then word."""
+    return sorted(words, key=lambda w: (len(w), w))
+
+
 def _format_terms(terms: Iterable[DefectTerm]) -> str:
-    return " + ".join(f"{c} {','.join(w)}" for c, w in terms) or "0"
+    return " + ".join(f"{c} {','.join(w)}" for c, w in terms).translate(_ONE_LINE) or "0"
 
 
 def _text(report: Report) -> Iterator[str]:
     """The human-readable layout, one line at a time."""
-    yield f"structure: {report.structure}\n"
+    yield f"structure: {report.structure.translate(_ONE_LINE)}\n"
     yield f"convention: {report.convention}\n"
     yield f"max arity: {report.max_arity}\n"
     for rec in report.checks:
@@ -89,7 +96,8 @@ def _text(report: Report) -> Iterator[str]:
             f"{rec.words} words, {len(rec.failures)} failures\n"
         )
         for f in rec.failures:
-            yield f"  word {','.join(f.word)}: defect {_format_terms(f.defect)}\n"
+            word = ",".join(f.word).translate(_ONE_LINE)
+            yield f"  word {word}: defect {_format_terms(f.defect)}\n"
     verdict = "PASS" if report.passed else "FAIL"
     total_words = sum(rec.words for rec in report.checks)
     yield f"result: {verdict} ({report.failure_count} failures in {total_words} words)\n"
@@ -186,13 +194,16 @@ def _check_printable(report: Report, format: str) -> None:
             )
 
 
-def _pieces(report: Report, format: str) -> Iterator[bytes]:
-    """The report in ``format`` as UTF-8 pieces, refused before the first if unprintable."""
+def _pieces(report: Report, format: str) -> Iterator[str]:
+    """The report in ``format`` in pieces, refused before the first if unprintable."""
     if format not in ("text", "machine"):
         raise ValueError(f"unknown report format {format!r}")
     _check_printable(report, format)
-    pieces = _machine(report) if format == "machine" else _text(report)
-    # a file name that is not UTF-8 holds surrogate escapes: write its own bytes
+    return _machine(report) if format == "machine" else _text(report)
+
+
+def _utf8(pieces: Iterable[str]) -> Iterator[bytes]:
+    """UTF-8 whatever the locale; a file name that is not UTF-8 as its own bytes."""
     return (piece.encode("utf-8", "surrogateescape") for piece in pieces)
 
 
@@ -203,4 +214,4 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     re-emission of the same report is byte-identical.  An integer with more
     digits than ``sys.get_int_max_str_digits()`` allows raises ``InputError``.
     """
-    return b"".join(_pieces(report, format))
+    return b"".join(_utf8(_pieces(report, format)))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit-code partitioning."""
 
+import io
 import os
 import signal
 import subprocess
@@ -522,6 +523,28 @@ def test_unprintable_text_total_words(digit_limit):
         emit_report(report, format="text")
 
 
+# past the digit limit int() raises; the parser reports the token, it does not crash
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("basis c " + "1" * 4301, "malformed degree"),
+        ("map " + "1" * 4301 + ": a -> 1 b", "malformed arity"),
+        ("map 1: a -> " + "1" * 4301 + " b", "malformed rational"),
+    ],
+    ids=["degree", "arity", "coefficient"],
+)
+def test_integer_token_past_the_digit_limit_exits_two(
+    line, message, digit_limit, tmp_path, capsys
+):
+    path = tmp_path / "long.astr"
+    path.write_text(f"ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\n{line}\n")
+    assert run_cli(["verify", "--max-arity", "1", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line 5: {message} ")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli([]) == 2
     assert run_cli(["verify"]) == 2  # --max-arity is required
@@ -587,6 +610,57 @@ def test_d2_nonzero_on_mutated_file(broken_file, capsys):
     code = run_cli(["d2", "--input", broken_file, "--word", "v1,v2"])
     assert code == 1
     assert capsys.readouterr().out.strip() == "-2 w"
+
+
+def test_d2_prints_the_defect_of_each_coderivation_failure(capsys):
+    # the two routes to D(D(word)), the sweep's records and d2, agree term for term
+    path = str(CORPUS / "mutated.astr")
+    argv = ["verify", "--check", "coderivation", "--max-arity", "4", "--input", path]
+    assert run_cli(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failures = [line.removeprefix("  word ") for line in lines if line.startswith("  word ")]
+    assert lines[-1] == "result: FAIL (35 failures in 120 words)"
+    assert len(failures) == 35
+    for line in failures:
+        word, defect = line.split(": defect ")
+        assert run_cli(["d2", "--input", path, "--word", word]) == 1
+        assert capsys.readouterr().out == defect + "\n"
+
+
+# m_2(é, é) = é, and D(D(é, é, é)) = é: a letter that ASCII cannot encode
+E_ACUTE = """ainfty v1
+convention cochain
+basis é 0
+basis b 1
+map 1: é -> 1 b
+map 2: é é -> 1 é
+map 2: b é -> 1 b
+map 3: b é é -> 1 é
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["apply", "--arity", "2", "--word", "é,é"], 0), (["d2", "--word", "é,é,é"], 1)],
+)
+def test_stdout_is_utf8_whatever_its_encoding(argv, code, tmp_path, monkeypatch):
+    path = tmp_path / "e.astr"
+    path.write_text(E_ACUTE, encoding="utf-8")
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_cli([*argv, "--input", str(path)]) == code
+    assert stdout.buffer.getvalue() == "1 é\n".encode("utf-8")
+
+
+def test_a_line_break_in_a_file_name_forges_no_report_line(tmp_path, capsys):
+    path = tmp_path / "x\nresult: PASS (0 failures in 39 words)"
+    path.write_bytes((CORPUS / "mutated.astr").read_bytes())
+    assert run_cli(["verify", "--max-arity", "2", "--input", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "structure: x\\nresult: PASS (0 failures in 39 words)"
+    assert [line for line in lines if line.startswith("result:")] == [
+        "result: FAIL (2 failures in 24 words)"
+    ]
 
 
 def test_lemma1_subcommand(capsys):

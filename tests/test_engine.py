@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import (
     AStructure,
+    BasisElement,
     EXAMPLE_SPACE,
+    GradedSpace,
     InputError,
     MultiMap,
     TensorPoly,
@@ -184,6 +186,15 @@ def test_d_squared_examples():
 def test_d_squared_requires_primed():
     with pytest.raises(InputError):
         d_squared(example_structure(), (V1, V2))
+
+
+def test_d_apply_requires_a_primed_structure_on_its_space():
+    p = TensorPoly(EXAMPLE_SPACE, {(V1,): 1})
+    with pytest.raises(InputError, match="needs a primed structure"):
+        d_apply(example_structure(), p)
+    other = TensorPoly(GradedSpace((BasisElement("a", 0),)), {(0,): 1})
+    with pytest.raises(InputError, match="different spaces"):
+        d_apply(example_structure(primed=True), other)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +455,9 @@ def test_structure_validates_members():
         AStructure(EXAMPLE_SPACE, maps={3: example_m(2)})
     with pytest.raises(InputError):
         AStructure(EXAMPLE_SPACE, maps={2: example_mprime(2)})  # primed mismatch
+    other = GradedSpace((BasisElement("a", 0),))
+    with pytest.raises(InputError, match="share the structure's space"):
+        AStructure(EXAMPLE_SPACE, maps={1: MultiMap(other, 1, {})})
 
 
 def test_generator_backed_structure_materializes_lazily():
@@ -453,6 +467,10 @@ def test_generator_backed_structure_materializes_lazily():
     assert not s.is_finite
     snap = s.snapshot(4)
     assert snap.is_finite and snap.arities == [1, 2, 3, 4]
+    with pytest.raises(InputError, match="no finite arity list"):
+        s.arities
+    with pytest.raises(InputError, match="arity must be >= 1"):
+        s.map_at(0)
 
 
 def test_transferred_family_reads_the_source_rule_once_per_arity():
@@ -473,6 +491,7 @@ def test_primed_unprimed_versions_round_trip():
     s = truncated_example(3)
     sp = s.primed_version()
     assert sp.primed and sp.map_at(2) == prime(example_m(2))
+    assert sp.primed_version() is sp
     back = sp.unprimed_version()
     assert back.map_at(3) == example_m(3)
 

@@ -1,6 +1,7 @@
 """Structure-file parsing, exact serialization round trips, report emission."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -142,8 +143,11 @@ AB_HEADER = "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\n"
         # '+' separates terms, so no part of a coefficient can carry one
         (AB_HEADER + "map 1: a -> +1 b\n", 5, "found ''"),
         (AB_HEADER + "map 1: a -> 1/+2 b\n", 5, "found '1/'"),
+        (AB_HEADER + "map 0: -> 1 a\n", 5, "map arity must be >= 1"),
     ],
-    ids=["duplicate-basis-name", "map-before-basis", "plus-coeff", "plus-denominator"],
+    ids=[
+        "duplicate-basis-name", "map-before-basis", "plus-coeff", "plus-denominator", "arity-0",
+    ],
 )
 def test_parse_error_names_its_own_line(text, line, message):
     with pytest.raises(ParseError, match=message) as exc:
@@ -223,6 +227,11 @@ def test_serialize_rejects_generator_backed():
         serialize_structure(example_structure())
 
 
+def test_serialize_rejects_primed():
+    with pytest.raises(InputError, match="only unprimed structures have a file form"):
+        serialize_structure(parse_structure(EXAMPLE_FILE).primed_version())
+
+
 # each breaks the map line: '+' splits terms, '->' splits sides, '#' starts
 # a comment and whitespace splits names
 UNWRITABLE_NAMES = ["a+b", "->", "x->y", "a#b", "a b", "a\tb", "a,b"]
@@ -300,6 +309,45 @@ def test_report_failure_terms_rendered():
     text = emit_report(report, format="text").decode()
     assert "word v1,v2: defect -2 w" in text
     assert "result: FAIL" in text
+
+
+# the line ends of str.splitlines() and the escape the text layout prints for each
+LINE_BREAKS = {
+    "\n": r"\n", "\x0b": r"\x0b", "\x0c": r"\x0c", "\r": r"\r", "\x1c": r"\x1c",
+    "\x1d": r"\x1d", "\x1e": r"\x1e", "\x85": r"\x85", "\u2028": r"\u2028", "\u2029": r"\u2029",
+}
+
+
+def test_line_breaks_are_every_splitlines_boundary():
+    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+    ends = {line[-1] for line in every_char.splitlines(keepends=True)[:-1]}
+    assert ends == set(LINE_BREAKS)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_text_report_escapes_line_breaks_in_names(brk):
+    esc = LINE_BREAKS[brk]
+    failure = Failure(word=(f"a{brk}b", "c"), defect=((Fraction(-1, 2), (f"d{brk}", "e")),))
+    report = Report(
+        f"x{brk}result: PASS (0 failures in 2 words)",
+        "cochain",
+        2,
+        (CheckRecord("direct", 1, 2, ()), CheckRecord("direct", 2, 4, (failure,))),
+    )
+    text = emit_report(report, format="text").decode("utf-8")
+    assert text.splitlines() == [
+        f"structure: x{esc}result: PASS (0 failures in 2 words)",
+        "convention: cochain",
+        "max arity: 2",
+        "check direct, arity 1: 2 words, 0 failures",
+        "check direct, arity 2: 4 words, 1 failures",
+        f"  word a{esc}b,c: defect -1/2 d{esc},e",
+        "result: FAIL (1 failures in 6 words)",
+    ]
+    # JSON escapes every line break already: the machine layout keeps each name as is
+    machine = json.loads(emit_report(report, format="machine"))
+    assert machine["structure"] == report.structure
+    assert machine["checks"][1]["failures"][0]["word"] == [f"a{brk}b", "c"]
 
 
 def test_emit_report_unknown_format():

@@ -52,6 +52,8 @@ def test_space_lookups():
         SPACE.index("nope")
     assert list(SPACE.basis_words(1)) == [(0,), (1,), (2,)]
     assert len(list(SPACE.basis_words(3))) == 27
+    with pytest.raises(InputError, match="arity must be >= 1"):
+        SPACE.basis_words(0)
 
 
 def test_poly_identity_and_cancellation():

@@ -12,8 +12,9 @@ Each mutant names a source substring that must occur exactly once in its
 file.  A substring that occurs zero times or more than once is a stale
 anchor: the script reports it and exits 2 before running anything, so a
 refactor cannot silently turn a mutant into a no-op.  It also exits 2 if
-the unmutated subset fails.  Otherwise the exit code is 1 if any mutant
-survived, else 0.
+the unmutated subset fails, after printing pytest's ``FAILED`` and
+``ERROR`` lines (or, without any, the last ``TAIL`` lines of its output).
+Otherwise the exit code is 1 if any mutant survived, else 0.
 
 ``test_acceptance`` is not in the subset: a sign mutant that breaks the
 built-in example makes its arity-20 coderivation sweep place bad windows
@@ -34,6 +35,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 TIMEOUT = 300.0  # seconds per run of SUBSET
+TAIL = 20  # lines of a failed baseline's output shown when pytest names no test
 SUBSET = (
     "tests/test_signs.py",
     "tests/test_corpus.py",
@@ -96,10 +98,10 @@ MUTANTS = (
            "sums[n - 1], windows[:n])", "sums[n - 1], windows[:n - 1])"),
     Mutant("_sweep_one: in-place prune keeps zero terms", "src/ainfty/_backend.py",
            "for w in [w for w, c in acc.items() if not c]:", "for w in []:"),
-    Mutant("_to_record: defect terms sorted by word only", "src/ainfty/_backend.py",
-           "order = partial(sorted, key=lambda dw: (len(dw), dw))", "order = sorted"),
-    Mutant("_to_record: defect terms left unsorted", "src/ainfty/_backend.py",
-           "order = partial(sorted, key=lambda dw: (len(dw), dw))", "order = list"),
+    Mutant("_term_order: defect terms sorted by word only", "src/ainfty/report.py",
+           "return sorted(words, key=lambda w: (len(w), w))", "return sorted(words)"),
+    Mutant("_term_order: defect terms left unsorted", "src/ainfty/report.py",
+           "return sorted(words, key=lambda w: (len(w), w))", "return list(words)"),
     Mutant("_to_record: shared Fraction keyed by abs(c)", "src/ainfty/_backend.py",
            "fraction = cache(lambda c: Fraction(c, denominator))",
            "fraction = lambda c, kept={}: kept.setdefault(abs(c), Fraction(c, denominator))"),
@@ -136,8 +138,10 @@ MUTANTS = (
            '("," + _I[depth + 1]).join(items)', "_I[depth + 1].join(items)"),
     Mutant("_machine: names quoted with repr", "src/ainfty/report.py",
            "q = cache(json.dumps)", "q = cache(repr)"),
-    Mutant("_pieces: strict encoding", "src/ainfty/report.py",
+    Mutant("_utf8: strict encoding", "src/ainfty/report.py",
            '"utf-8", "surrogateescape"', '"utf-8", "strict"'),
+    Mutant("_utf8: stdout's own encoding", "src/ainfty/report.py",
+           '"utf-8", "surrogateescape"', 'sys.stdout.encoding, "surrogateescape"'),
     # the immutable-value base of the seven records, and the polynomial's checks
     Mutant("Value.__eq__: first field only", "src/ainfty/errors.py",
            "return self._values(self) == self._values(other)",
@@ -172,16 +176,30 @@ def stale_anchors(mutants: tuple[Mutant, ...]) -> list[str]:
     return out
 
 
-def run_subset(work: Path) -> str:
-    """``passed``, ``failed`` or ``timed out`` for one run of SUBSET in ``work``."""
+def failure_lines(output: str) -> list[str]:
+    """pytest's ``FAILED`` and ``ERROR`` lines in ``output``, else its last ``TAIL`` lines."""
+    lines = output.splitlines()
+    return [line for line in lines if line.startswith(("FAILED ", "ERROR "))] or lines[-TAIL:]
+
+
+def run_subset(work: Path) -> tuple[str, list[str]]:
+    """``passed``, ``failed`` or ``timed out`` for one run of SUBSET in ``work``.
+
+    A failed run also gives its ``failure_lines``, a passed or timed-out run none.
+    """
     shutil.rmtree(work / ".hypothesis", ignore_errors=True)  # no replay across mutants
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *SUBSET]
     try:
-        proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
+        proc = subprocess.run(
+            cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT,
+            encoding="utf-8", errors="replace",
+        )
     except subprocess.TimeoutExpired:
-        return "timed out"
-    return "passed" if proc.returncode == 0 else "failed"
+        return "timed out", []
+    if proc.returncode == 0:
+        return "passed", []
+    return "failed", failure_lines(proc.stdout + proc.stderr)
 
 
 def main() -> int:
@@ -198,8 +216,8 @@ def main() -> int:
             else:
                 shutil.copy2(src, work / item)
         t0 = time.perf_counter()
-        baseline = run_subset(work)
-        print(f"baseline: {baseline} ({time.perf_counter() - t0:.1f} s)")
+        baseline, lines = run_subset(work)
+        print(f"baseline: {baseline} ({time.perf_counter() - t0:.1f} s)", *lines, sep="\n  ")
         if baseline != "passed":
             return 2
         survivors = 0
@@ -209,7 +227,7 @@ def main() -> int:
             path.write_text(original.replace(m.anchor, m.replacement), encoding="utf-8")
             t0 = time.perf_counter()
             try:
-                outcome = run_subset(work)
+                outcome, _ = run_subset(work)
             finally:
                 path.write_text(original, encoding="utf-8")
             verdict = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)

@@ -9,13 +9,16 @@ from phase 1's read-only lists alone.  No cell visits every word.
 The walk, ``_top_sums``, goes over the (outer entry, position, inner
 entry) triples of the unprimed tables and adds each signed term straight
 into the direct sum S(x) of the word it belongs to, one first letter at a
-time.  The direct cell reports the nonzero S(x); the coderivation cell
-places, and the linfty cell symmetrizes, the one-letter parts
-R(x) = sigma(x) * S(x) of D(D(x)) (``_desuspended``).  Every other word
-is zero by construction, so each record still certifies all ``dim**n``
-words.  Every verdict is fixed by phase 1: direct and coderivation fail
-exactly when some S(x) is nonzero, since only the window x itself puts a
-one-letter defect on x, and linfty exactly when some Sym(R) is nonzero.
+time.  The sums are keyed by one int per word and output letter, which
+each triple finds with one product and one sum from its entries'
+base-dim indices, computed once.  The direct cell reports the nonzero
+S(x); the coderivation cell places, and the linfty cell symmetrizes, the
+one-letter parts R(x) = sigma(x) * S(x) of D(D(x)) (``_desuspended``).
+Every other word is zero by construction, so each record still certifies
+all ``dim**n`` words.  Every verdict is fixed by phase 1: direct and
+coderivation fail exactly when some S(x) is nonzero, since only the
+window x itself puts a one-letter defect on x, and linfty exactly when
+some Sym(R) is nonzero.
 
 All three sweeps run on Python ints.  ``_sweep`` takes ``scale``, the
 lcm of the denominators of every table coefficient, once per run, and
@@ -65,6 +68,14 @@ def _top_sums(
     The walk adds +-c_v[b] * m(u) straight into x's sums, one per output
     letter, so only the triples are visited; every other word's sum is empty.
 
+    The sum of x at output letter b2 is kept under one int, idx(x) * dim + b2,
+    where idx is the base-dim index of a word (``_index``).  Each entry gets
+    its index once, and an outer entry u also its lam = 0 tail offset
+    idx(u[1:]) * dim.  For lam >= 1 the prefix index grows by one letter of u
+    per step and the suffix index is idx(u) mod dim**(len(u) - lam - 1), so
+    each triple's key is one product and one sum, whatever n is; only the
+    nonzero sums are turned back into words (``_word``).
+
     x starts with v[0] when lam = 0 and with u[0] otherwise, so the walk
     takes the triples one first letter at a time: the block accumulator holds
     the sums of at most dim**(n-1) words and is dropped before the next block.
@@ -74,60 +85,85 @@ def _top_sums(
     entries are indexed as ints times ``scale``, a multiple of every
     denominator, so the sums are ``scale**2`` times the true ones.
     """
+    dim = len(degrees)
+    power = [dim**i for i in range(n + 2)]
     levels = []
     for k in range(1, n + 1):
         inner, outer = tables.get(k), tables.get(n - k + 1)
         if not inner or not outer:
             continue
-        # (v, c_v[b]) by output letter b, and (v, b, c_v[b]) by v[0]
-        by_output: dict[int, list[tuple[Word, int]]] = {}
-        inner_by_first: dict[int, list[tuple[Word, int, int]]] = {}
+        # (idx(v), c_v[b]) by output letter b, and (idx(v), b, c_v[b]) by v[0]
+        by_output: dict[int, list[tuple[int, int]]] = {}
+        inner_by_first: dict[int, list[tuple[int, int, int]]] = {}
         for v, vec in inner.items():
+            iv = _index(v, dim)
             for b, c in vec.items():
                 c = c.numerator * (scale // c.denominator)
-                by_output.setdefault(b, []).append((v, c))
-                inner_by_first.setdefault(v[0], []).append((v, b, c))
-        # (u, [(b2, c_u[b2]), ...]) by u[0]
-        outer_by_first: dict[int, list[tuple[Word, list[tuple[int, int]]]]] = {}
+                by_output.setdefault(b, []).append((iv, c))
+                inner_by_first.setdefault(v[0], []).append((iv, b, c))
+        # (u, idx(u), tail offset, [(b2, c_u[b2]), ...]) by u[0]
+        outer_by_first: dict[int, list[tuple[Word, int, int, list[tuple[int, int]]]]] = {}
         for u, vec in outer.items():
+            iu, tail = _index(u, dim), _index(u[1:], dim) * dim
             scaled = [(b, c.numerator * (scale // c.denominator)) for b, c in vec.items()]
-            outer_by_first.setdefault(u[0], []).append((u, scaled))
+            outer_by_first.setdefault(u[0], []).append((u, iu, tail, scaled))
         levels.append((k, by_output, inner_by_first, outer_by_first))
     letter = [(b,) for b in range(len(degrees))]
     firsts = sorted({a for level in levels for a in (*level[2], *level[3])})
     for a in firsts:
-        block: dict[tuple[Word, int], int] = {}
+        block: dict[int, int] = {}
         get = block.get
         for k, by_output, inner_by_first, outer_by_first in levels:
             # lam = 0: x = v + u[1:]
             negate = _alpha_parity(k, 0, n, 0)
-            for v, b, c in inner_by_first.get(a, ()):
+            for iv, b, c in inner_by_first.get(a, ()):
                 if negate:
                     c = -c
-                for u, uvec in outer_by_first.get(b, ()):
-                    x = v + u[1:]
+                base = iv * power[n - k + 1]
+                for _, _, tail, uvec in outer_by_first.get(b, ()):
+                    offset = base + tail
                     for b2, c2 in uvec:
-                        key = (x, b2)
+                        key = offset + b2
                         block[key] = get(key, 0) + c * c2
-            # lam >= 1: x = u[:lam] + v + u[lam+1:], prefix degree sum s
-            for u, uvec in outer_by_first.get(a, ()):
-                s = degrees[a]
-                for lam in range(1, len(u)):
+            # lam >= 1: x = u[:lam] + v + u[lam+1:], prefix index pre, degree sum s
+            for u, iu, _, uvec in outer_by_first.get(a, ()):
+                s, pre, m = degrees[a], a, len(u)
+                for lam in range(1, m):
                     negate = _alpha_parity(k, lam, n, s)
-                    pre, suf = u[:lam], u[lam + 1 :]
+                    offset = pre * power[n - lam + 1] + iu % power[m - lam - 1] * dim
+                    place = power[m - lam]
                     inners = by_output.get(u[lam], ())
                     for b2, c2 in uvec:
                         if negate:
                             c2 = -c2
-                        for v, c in inners:
-                            key = (pre + v + suf, b2)
+                        base = offset + b2
+                        for iv, c in inners:
+                            key = base + iv * place
                             block[key] = get(key, 0) + c * c2
                     s += degrees[u[lam]]
-        tops: dict[Word, dict[Word, int]] = {}
-        for (x, b), c in block.items():
+                    pre = pre * dim + u[lam]
+        tops: dict[int, dict[Word, int]] = {}
+        for key, c in block.items():
             if c:
-                tops.setdefault(x, {})[letter[b]] = c
-        yield from tops.items()
+                tops.setdefault(key // dim, {})[letter[key % dim]] = c
+        yield from ((_word(i, dim, n), top) for i, top in tops.items())
+
+
+def _index(w: Word, dim: int) -> int:
+    """The base-``dim`` index of the word w, its first letter the most significant."""
+    i = 0
+    for b in w:
+        i = i * dim + b
+    return i
+
+
+def _word(i: int, dim: int, n: int) -> Word:
+    """The arity-n word whose ``_index`` is i."""
+    letters = []
+    for _ in range(n):
+        i, b = divmod(i, dim)
+        letters.append(b)
+    return tuple(reversed(letters))
 
 
 def _desuspended(sums: Defects, degrees: tuple[int, ...]) -> Defects:

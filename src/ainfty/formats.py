@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator
+from functools import cache
+from typing import Callable, Iterator
 
 from .engine import AStructure, MultiMap
 from .errors import InputError, ParseError
@@ -98,8 +99,14 @@ def _coeff(token: str) -> Fraction:
     return Fraction(p, q)
 
 
-def _map_entry(line: str, space: GradedSpace) -> tuple[Word, Vector]:
-    """The input word of a map line and its output, zero terms dropped."""
+def _map_entry(
+    line: str, space: GradedSpace, coeff: Callable[[str], Fraction]
+) -> tuple[Word, Vector]:
+    """The input word of a map line and its output, zero terms dropped.
+
+    ``coeff`` reads a coefficient token (``_coeff``, memoized per file); a
+    term is added to the one before it only when its output letter repeats.
+    """
     if line.split()[0] != "map":
         raise InputError(f"unexpected line {line!r}")
     head, colon, rest = line.partition(":")
@@ -124,13 +131,13 @@ def _map_entry(line: str, space: GradedSpace) -> tuple[Word, Vector]:
         bits = term.split()
         if len(bits) != 2:
             raise InputError(f"expected '<coeff> <name>' term, found {term.strip()!r}")
-        coeff = _coeff(bits[0])
+        c = coeff(bits[0])
         b = space.index(bits[1])
         if space.degree(b) != out_degree:
             raise InputError(
                 f"inhomogeneous entry: output {bits[1]} breaks deg(out) = deg(in) + 2 - k"
             )
-        vec[b] = vec.get(b, 0) + coeff
+        vec[b] = vec[b] + c if b in vec else c
     return word, {b: c for b, c in vec.items() if c}
 
 
@@ -141,6 +148,7 @@ def parse_structure(text: str, name: str = "structure") -> AStructure:
     basis: dict[str, BasisElement] = {}
     tables: dict[int, dict[Word, Vector]] = {}
     first_line: dict[Word, int] = {}
+    coeff = cache(_coeff)  # one Fraction per distinct token of this file
     lineno = 1
     try:
         for lineno, line in _content_lines(text):
@@ -160,7 +168,7 @@ def parse_structure(text: str, name: str = "structure") -> AStructure:
             else:
                 if space is None:
                     space = _space(basis, convention)
-                word, vec = _map_entry(line, space)
+                word, vec = _map_entry(line, space, coeff)
                 if word in first_line:
                     raise InputError(
                         f"duplicate map entry for {' '.join(space.word_names(word))} "

@@ -371,6 +371,35 @@ def test_triples_walked_on_the_example():
     assert [triples_walked(s, n) for n in (7, 12, 20)] == [294, 1384, 6040]
 
 
+def test_top_sums_keys_past_64_bits():
+    """At arity 42 a key idx(x) * 3 + b passes 2**64, and every sum stays exact.
+
+    The example's all-w entry of m_21 gets its coefficient times 3/2.  Each
+    word the walk yields, and each word a triple through that entry builds
+    (the entry as inner v or as outer u, both against m_22), has the sum
+    ``stasheff_defect`` gives times scale**2.
+    """
+    n, k = 42, 21
+    example = example_structure()
+    tables = {j: dict(t) for j, t in example.tables_up_to(n).items()}
+    entry = (0,) + (2,) * (k - 1)  # v1 w^20
+    outputs = tables[k][entry] = {b: c * Fraction(3, 2) for b, c in tables[k][entry].items()}
+    space = example.space
+    s = AStructure(space, maps={j: MultiMap(space, j, t) for j, t in tables.items()})
+    scale = 2
+    sums = dict(backend._top_sums(s.tables_up_to(n), scale, space.degrees, n))
+    partners = tables[n - k + 1]
+    built = {u[:lam] + entry + u[lam + 1 :] for u in partners for lam in range(len(u))
+             if u[lam] in outputs}
+    built |= {entry[:lam] + v + entry[lam + 1 :] for lam in range(k)
+              for v, vec in partners.items() if entry[lam] in vec}
+    assert sums and set(sums) <= built
+    for x in built:
+        expected = {(b,): c * scale**2 for b, c in stasheff_defect(s, x).items()}
+        assert sums.get(x, {}) == expected, space.word_names(x)
+    assert any(int("".join(map(str, x)), 3) * 3 >= 2**64 for x in sums)
+
+
 def test_every_check_walks_each_arity_once(monkeypatch):
     """Both A-infinity checks and the linfty check share one walk per arity.
 

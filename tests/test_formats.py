@@ -185,6 +185,26 @@ def test_parse_rational_coefficients_exact():
     assert s.map_at(1).table[(0,)] == {1: Fraction(5, 6)}
 
 
+def test_parsed_coefficients_are_fractions():
+    """Once, repeated across lines, or summed on one line: every value is a Fraction."""
+    text = (
+        "ainfty v1\nconvention cochain\nbasis a 0\nbasis c 0\nbasis b 1\n"
+        "map 1: a -> 2/3 b\n"
+        "map 1: c -> 2/3 b\n"
+        "map 2: a a -> 5 a + 1/2 c\n"
+        "map 2: a c -> 1/2 a + 3 a + -1 c\n"
+    )
+    s = parse_structure(text)
+    once = s.map_at(2).table[(0, 0)]
+    repeated = [s.map_at(1).table[(0,)][2], s.map_at(1).table[(1,)][2]]
+    summed = s.map_at(2).table[(0, 1)]
+    assert once == {0: 5, 1: Fraction(1, 2)}
+    assert repeated == [Fraction(2, 3)] * 2
+    assert summed == {0: Fraction(7, 2), 1: -1}
+    values = [*once.values(), *repeated, *summed.values()]
+    assert all(type(c) is Fraction for c in values)
+
+
 def test_parse_terms_summing_to_zero_drop_out():
     text = (
         "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\n"

@@ -87,6 +87,15 @@ MUTANTS = (
            "negate = _alpha_parity(k, 0, n, 0)", "negate = 0"),
     Mutant("_top_sums: every S(x) keyed by letter 0's word", "src/ainfty/_backend.py",
            "letter = [(b,) for b in range(len(degrees))]", "letter = [(0,)] * len(degrees)"),
+    Mutant("_top_sums: lam = 0 inner place one power of dim too low", "src/ainfty/_backend.py",
+           "base = iv * power[n - k + 1]", "base = iv * power[n - k]"),
+    Mutant("_top_sums: lam >= 1 inner place one power of dim too high", "src/ainfty/_backend.py",
+           "place = power[m - lam]", "place = power[m - lam + 1]"),
+    Mutant("_top_sums: suffix index dropped", "src/ainfty/_backend.py",
+           "offset = pre * power[n - lam + 1] + iu % power[m - lam - 1] * dim",
+           "offset = pre * power[n - lam + 1]"),
+    Mutant("_word: letters decoded in reverse", "src/ainfty/_backend.py",
+           "return tuple(reversed(letters))", "return tuple(letters)"),
     Mutant("_sweep_one: last placement offset dropped", "src/ainfty/_backend.py",
            "for i in range(pad + 1):", "for i in range(pad):"),
     Mutant("_sweep_one: lower-arity windows dropped", "src/ainfty/_backend.py",

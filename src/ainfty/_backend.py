@@ -2,23 +2,30 @@
 
 The per-word defect functions in ``engine`` and ``linfty`` are the
 reference implementation.  ``_sweep`` is the one driver of all three
-checks, behind ``verify_structure`` and ``verify_linfty``: it validates
-the request, walks every arity once on the scaled maps (phase 1), and
-only then builds one report record per (check, arity) cell (phase 2),
-from phase 1's read-only lists alone.  No cell visits every word.
+checks, behind ``verify_structure``, ``verify_linfty`` and the CLI's
+``verify``: it validates the request and walks every arity once on the
+scaled maps (phase 1).  Phase 2 is a generator over the (check, arity)
+cells, computed from phase 1's read-only lists alone: it yields each
+cell as its header and a generator of its failures, which builds them one
+at a time, in word order, as they are read.  The library collects that
+stream into a ``Report``; the CLI writes each failure as it comes and
+holds no report.  No cell visits every word.
 The walk, ``_top_sums``, goes over the (outer entry, position, inner
 entry) triples of the unprimed tables and adds each signed term straight
 into the direct sum S(x) of the word it belongs to, one first letter at a
 time.  The sums are keyed by one int per word and output letter, which
 each triple finds with one product and one sum from its entries'
 base-dim indices, computed once.  The direct cell reports the nonzero
-S(x); the coderivation cell places, and the linfty cell symmetrizes, the
+S(x); the coderivation cell places, and linfty's phase 1 symmetrizes, the
 one-letter parts R(x) = sigma(x) * S(x) of D(D(x)) (``_desuspended``).
 Every other word is zero by construction, so each record still certifies
 all ``dim**n`` words.  Every verdict is fixed by phase 1: direct and
 coderivation fail exactly when some S(x) is nonzero, since only the
 window x itself puts a one-letter defect on x, and linfty exactly when
-some Sym(R) is nonzero.
+some Sym(R) is nonzero.  So phase 1 also gives the machine report's
+``"pass"``, which comes before the first record, and a bound on every
+integer a failure's coefficients print: the CLI holds a report, and checks
+it exactly against Python's digit limit, only when that bound passes it.
 
 All three sweeps run on Python ints.  ``_sweep`` takes ``scale``, the
 lcm of the denominators of every table coefficient, once per run, and
@@ -28,9 +35,9 @@ the direct identity and of D(D(word)) is a product of exactly two
 coefficients, and symmetrization only adds such terms with integer
 weights, so a scaled defect is exactly ``scale**2`` times the true one and
 is zero exactly when it is.  Each cell returns only its failing words,
-without copying their defects, and ``_to_record`` divides the defects
-back into ``Fraction``s, which reduce to lowest terms, so the records are
-the ones the ``Fraction`` oracle builds.
+without copying their defects, and ``_to_record`` divides each failure's
+defect back into ``Fraction``s, which reduce to lowest terms, so the
+records are the ones the ``Fraction`` oracle builds.
 """
 
 from __future__ import annotations
@@ -38,14 +45,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import factorial, lcm, prod
-from typing import Iterator, Mapping, Sequence
+from math import lcm
+from typing import Iterator, Sequence
 
 from .engine import AStructure, Tables
 from .errors import InputError
-from .graded import GradedSpace, Vector, Word
-from .report import CheckRecord, Failure, Report, _term_order
-from .signs import _alpha_parity, _desusp_parity, pass_operator_sign
+from .graded import GradedSpace, Word
+from .linfty import _symmetrize
+from .report import Cell, Failure, Head, Report, _collect, _term_order
+from .signs import _alpha_parity, _desusp_parity
 
 # a cell's failing words: input word -> {defect word: scaled coefficient}; the
 # direct and linfty defects are one-letter words (b,)
@@ -180,58 +188,6 @@ def _desuspended(sums: Defects, degrees: tuple[int, ...]) -> Defects:
     return out
 
 
-def _signed_rearrangements(w: Word, ddegs: Sequence[int]) -> Iterator[tuple[Word, int]]:
-    """The distinct rearrangements y of w in lexicographic order, with their signs.
-
-    y is built one letter b at a time, always from the first copy of b
-    left in w, so equal letters keep their order.  That copy passes the
-    letters still left in front of it, and the sign gains
-    ``pass_operator_sign`` of b's degree against their degree sum: the
-    Koszul sign of the one sigma with y[i] = w[sigma[i]] that keeps equal
-    letters in order.  An explicit stack, not recursion, so any length works.
-    """
-    stack = [((), tuple(w), 1)]
-    while stack:
-        y, rest, sign = stack.pop()
-        if not rest:
-            yield y, sign
-            continue
-        for b in sorted(set(rest), reverse=True):  # the smallest pops first
-            i = rest.index(b)
-            passed = sum(ddegs[a] for a in rest[:i])
-            step = pass_operator_sign(ddegs[b], passed)
-            stack.append((y + (b,), rest[:i] + rest[i + 1 :], sign * step))
-
-
-def _symmetrize(table: Mapping[Word, Vector], ddegs: Sequence[int]) -> dict[Word, Vector]:
-    """Sum a map over all Koszul-signed permutations of its inputs.
-
-    l(y) is the sum over permutations sigma of sign(sigma, y) * m(sigma . y),
-    where letter i of y moves to position sigma[i] and ``ddegs`` are the
-    desuspended letter degrees.  A term is nonzero only when sigma . y is a
-    table entry w, so the sum runs over table entries and their distinct
-    rearrangements y, each listed once with the sign of one sigma by
-    ``_signed_rearrangements``.  The permutations taking y to w differ by
-    swaps of equal letters; such a swap costs the square of the letter's
-    degree.  So an entry that repeats a letter of odd degree cancels, and
-    otherwise each y gets the stabilizer size (the product of the letter
-    multiplicities' factorials) times that sign.  Coefficients may be ints
-    or ``Fraction``s; the nonzero values are returned.
-    """
-    out: dict[Word, Vector] = {}
-    for w, vec in table.items():
-        odd = [b for b in w if ddegs[b] % 2]
-        if len(odd) != len(set(odd)):
-            continue
-        stabilizer = prod(factorial(w.count(b)) for b in set(w))
-        for y, sign in _signed_rearrangements(w, ddegs):
-            acc = out.setdefault(y, {})
-            for b, c in vec.items():
-                acc[b] = acc.get(b, 0) + stabilizer * sign * c
-    pruned = {y: {b: c for b, c in acc.items() if c} for y, acc in out.items()}
-    return {y: acc for y, acc in pruned.items() if acc}
-
-
 def _sweep_one(
     structure: AStructure,
     check: str,
@@ -248,12 +204,17 @@ def _sweep_one(
     the bad windows R(x) = sigma(x) * S(x) (``_desuspended``), the one-letter
     part of D(D(x)).  D(D(.)) is again a coderivation, of even degree, so at a
     word P + x + S it is the sum over the windows x of P + R(x) + S, with
-    no sign; every defect is assembled from these placements.  Their dicts
-    are this cell's own, so the zero terms of placements that cancel are
-    dropped in place; nothing the cell is handed is written into.
+    no sign; every defect is assembled from these placements.  With no
+    window below the arity, each window is the whole word it sits on, no two
+    placements meet and nothing cancels, so the arity's windows are returned
+    as they are.  Otherwise the dicts are this cell's own, so the zero terms
+    of placements that cancel are dropped in place; nothing the cell is
+    handed is written into.
     """
     if check == "direct":
         return sums
+    if not any(windows[:-1]):
+        return windows[-1]
     defects: Defects = {}
     letters = range(structure.space.dim)
     for x, top in (item for level in windows for item in level.items()):
@@ -276,30 +237,37 @@ def _sweep_one(
 
 def _to_record(
     space: GradedSpace, check: str, arity: int, defects: Defects, scale: int
-) -> CheckRecord:
-    """The cell's record: failing words in order, defects divided by ``scale**2``.
+) -> Cell:
+    """The cell's record as it streams: its header, then its failures one at a time.
 
-    Every cell keys each defect by its defect word; the terms of a defect
-    are in ``_term_order``, as ``d2`` prints them.  Within the record, equal
-    coefficients share one ``Fraction`` and equal defect words one tuple
-    of names.
+    The failures come in word order, each built only when it is asked for,
+    with its defect divided by ``scale**2``.  Every cell keys each defect by
+    its defect word; the terms of a defect are in ``_term_order``, as ``d2``
+    prints them.  Within the record, equal coefficients share one
+    ``Fraction`` and equal defect words one tuple of names.
     """
     denominator = scale * scale
     names = tuple(el.name for el in space.elements)
     fraction = cache(lambda c: Fraction(c, denominator))
     label = cache(lambda dw: tuple(map(names.__getitem__, dw)))
-    recs = []
-    for word in sorted(defects):
-        defect = defects[word]
-        terms = tuple((fraction(defect[dw]), label(dw)) for dw in _term_order(defect))
-        recs.append(Failure(word=tuple(map(names.__getitem__, word)), defect=terms))
-    return CheckRecord(
-        check=check, arity=arity, words=space.dim**arity, failures=tuple(recs)
-    )
+
+    def failures() -> Iterator[Failure]:
+        for word in sorted(defects):
+            defect = defects[word]
+            terms = tuple((fraction(defect[dw]), label(dw)) for dw in _term_order(defect))
+            yield Failure(word=tuple(map(names.__getitem__, word)), defect=terms)
+
+    return check, arity, space.dim**arity, len(defects), failures()
 
 
-def _sweep(s: AStructure, max_arity: int, checks: tuple[str, ...]) -> Report:
-    """Sweep ``checks`` (direct, coderivation, linfty) over arities 1..max_arity."""
+def _sweep(s: AStructure, max_arity: int, mode: str) -> tuple[Head, int, Iterator[Cell]]:
+    """Sweep the checks of ``mode`` (``verify_structure``'s, or linfty) over arities 1..max_arity.
+
+    Runs phase 1 and returns the report's head with its verdict, a bound on
+    every integer a failure's coefficients print, and phase 2, the generator
+    of the cells.  A coderivation coefficient sums at most ``max_arity``
+    windows' coefficients, and every denominator divides ``scale**2``.
+    """
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
     unprimed = s.unprimed_version()
@@ -311,18 +279,24 @@ def _sweep(s: AStructure, max_arity: int, checks: tuple[str, ...]) -> Report:
     # phase 1, by arity n at index n - 1: the sums S and the bad windows R
     sums = [dict(_top_sums(tables, scale, degrees, n)) for n in arities]
     windows = [_desuspended(top, degrees) for top in sums]
+    if mode == "linfty":
+        # Symmetrization carries the Gerstenhaber bracket to the
+        # Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi defect
+        # of l = Sym(m') is Sym(R); its cells report these sums
+        sums = [_symmetrize(r, [d - 1 for d in degrees]) for r in windows]
+    largest = max((abs(c) for top in sums for t in top.values() for c in t.values()), default=0)
 
     def cell(check: str, n: int) -> Defects:
         if check == "linfty":
-            # Symmetrization carries the Gerstenhaber bracket to the
-            # Nijenhuis-Richardson bracket (Lada-Markl), so the Jacobi
-            # defect of l = Sym(m') is Sym(R).
-            return _symmetrize(windows[n - 1], [d - 1 for d in degrees])
+            return sums[n - 1]
         return _sweep_one(unprimed, check, n, sums[n - 1], windows[:n])
 
-    # phase 2: one record per (check, arity) cell, check by check
-    records = (_to_record(s.space, c, n, cell(c, n), scale) for c in checks for n in arities)
-    return Report(s.name, s.space.convention, max_arity, tuple(records))
+    # phase 2, check by check; no cell's defects outlive its failures
+    checks = ("direct", "coderivation") if mode == "both" else (mode,)
+    cells = (_to_record(s.space, c, n, cell(c, n), scale) for c in checks for n in arities)
+
+    head = (s.name, s.space.convention, max_arity, not any(sums))
+    return head, max(max_arity * largest, scale * scale), cells
 
 
 def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Report:
@@ -331,13 +305,13 @@ def verify_structure(s: AStructure, max_arity: int, mode: str = "both") -> Repor
     ``mode`` selects the direct identity (``direct``), the coderivation
     square (``coderivation``) or both (``both``), swept by ``_sweep``.
     """
-    checks = {"direct": ("direct",), "coderivation": ("coderivation",),
-              "both": ("direct", "coderivation")}.get(mode)
-    if checks is None:
+    if mode not in ("direct", "coderivation", "both"):
         raise InputError(f"unknown mode {mode!r}")
-    return _sweep(s, max_arity, checks)
+    head, _, cells = _sweep(s, max_arity, mode)
+    return _collect(head, cells)
 
 
 def verify_linfty(s: AStructure, max_arity: int) -> Report:
     """Sweep the Jacobi relations of the symmetrized maps over arities 1..max_arity."""
-    return _sweep(s, max_arity, ("linfty",))
+    head, _, cells = _sweep(s, max_arity, "linfty")
+    return _collect(head, cells)

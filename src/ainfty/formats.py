@@ -154,7 +154,9 @@ def parse_structure(text: str, name: str = "structure") -> AStructure:
         for lineno, line in _content_lines(text):
             if not header:
                 if line != HEADER:
-                    raise InputError(f"expected header {HEADER!r}")
+                    bom = text.startswith("\ufeff")
+                    why = "; the file starts with a byte-order mark (U+FEFF)" if bom else ""
+                    raise InputError(f"expected header {HEADER!r}{why}")
                 header = True
             elif convention is None:
                 convention = _CONVENTION_LINES.get(" ".join(line.split()))

@@ -3,12 +3,13 @@
 Both act on primed ``MultiMap``s: the transferred maps live on the
 desuspended side, where they have degree 1 and symmetrization uses plain
 Koszul signs.  ``symmetrize_prime`` sums a primed map over all signed
-permutations of its inputs (over ``_backend._symmetrize``) and returns
+permutations of its inputs (over ``_symmetrize``) and returns
 the result as another primed map, l_k = Sym(m'_k).  ``linfty_defect``
 checks the generalized Jacobi identity of such a family on one word in
 unshuffle form, summing l_j(l_i(block) tensor rest) over all
 (i, n-i)-unshuffles with i + j = n + 1; it is the literal oracle.  The
-sweep, ``_backend.verify_linfty``, never builds the symmetrized maps.
+sweep, ``_backend.verify_linfty``, never builds the symmetrized maps: it
+runs ``_symmetrize`` on the bad windows alone.
 Un-priming the symmetrized family back to the unshifted space is
 deliberately not offered; conventions for that step vary and nothing
 here needs it.
@@ -18,13 +19,65 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import factorial, prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._backend import _symmetrize
 from .engine import MultiMap
 from .errors import InputError
 from .graded import GradedSpace, TensorPoly, Vector, Word
 from .signs import koszul_permutation_sign, pass_operator_sign
+
+
+def _signed_rearrangements(w: Word, ddegs: Sequence[int]) -> Iterator[tuple[Word, int]]:
+    """The distinct rearrangements y of w in lexicographic order, with their signs.
+
+    y is built one letter b at a time, always from the first copy of b
+    left in w, so equal letters keep their order.  That copy passes the
+    letters still left in front of it, and the sign gains
+    ``pass_operator_sign`` of b's degree against their degree sum: the
+    Koszul sign of the one sigma with y[i] = w[sigma[i]] that keeps equal
+    letters in order.  An explicit stack, not recursion, so any length works.
+    """
+    stack = [((), tuple(w), 1)]
+    while stack:
+        y, rest, sign = stack.pop()
+        if not rest:
+            yield y, sign
+            continue
+        for b in sorted(set(rest), reverse=True):  # the smallest pops first
+            i = rest.index(b)
+            passed = sum(ddegs[a] for a in rest[:i])
+            step = pass_operator_sign(ddegs[b], passed)
+            stack.append((y + (b,), rest[:i] + rest[i + 1 :], sign * step))
+
+
+def _symmetrize(table: Mapping[Word, Vector], ddegs: Sequence[int]) -> dict[Word, Vector]:
+    """Sum a map over all Koszul-signed permutations of its inputs.
+
+    l(y) is the sum over permutations sigma of sign(sigma, y) * m(sigma . y),
+    where letter i of y moves to position sigma[i] and ``ddegs`` are the
+    desuspended letter degrees.  A term is nonzero only when sigma . y is a
+    table entry w, so the sum runs over table entries and their distinct
+    rearrangements y, each listed once with the sign of one sigma by
+    ``_signed_rearrangements``.  The permutations taking y to w differ by
+    swaps of equal letters; such a swap costs the square of the letter's
+    degree.  So an entry that repeats a letter of odd degree cancels, and
+    otherwise each y gets the stabilizer size (the product of the letter
+    multiplicities' factorials) times that sign.  Coefficients may be ints
+    or ``Fraction``s; the nonzero values are returned.
+    """
+    out: dict[Word, Vector] = {}
+    for w, vec in table.items():
+        odd = [b for b in w if ddegs[b] % 2]
+        if len(odd) != len(set(odd)):
+            continue
+        stabilizer = prod(factorial(w.count(b)) for b in set(w))
+        for y, sign in _signed_rearrangements(w, ddegs):
+            acc = out.setdefault(y, {})
+            for b, c in vec.items():
+                acc[b] = acc.get(b, 0) + stabilizer * sign * c
+    pruned = {y: {b: c for b, c in acc.items() if c} for y, acc in out.items()}
+    return {y: acc for y, acc in pruned.items() if acc}
 
 
 def _check_graded_symmetric(space: GradedSpace, table: Mapping[Word, Vector]) -> None:
@@ -48,7 +101,7 @@ def _check_graded_symmetric(space: GradedSpace, table: Mapping[Word, Vector]) ->
 def symmetrize_prime(mp: MultiMap) -> MultiMap:
     """Sum a transferred map over all Koszul-signed permutations of its inputs.
 
-    See ``_backend._symmetrize``.  The result is a primed map, checked
+    See ``_symmetrize``.  The result is a primed map, checked
     graded-symmetric before it is returned.  Its entries permute the words
     of ``mp``'s, with the same output letters, so they are not checked again.
     """

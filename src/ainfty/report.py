@@ -1,11 +1,16 @@
 """Machine-readable verification outcomes and their two output formats.
 
-``_pieces`` yields a report in pieces, in either format: the text layout
-one line at a time, the machine layout record by record and failure by
-failure, so a writer never holds the rendered report whole.  Before the
-first piece it checks every integer the format prints against Python's
-int-to-str digit limit, so a refused report writes nothing.  ``_utf8``
-encodes every piece of stdout; ``emit_report`` joins a whole report's.
+The writers take a report as a stream: its head (structure, convention,
+maximum arity and verdict) and its (check, arity) cells, each a header
+(check, arity, words, failure count) and then its failures one at a time,
+in word order.  ``_render`` yields that stream in pieces, in either
+format: the text layout one line at a time, the machine layout record by
+record and failure by failure, so a writer never holds the rendered report
+whole.  The CLI's ``verify`` feeds it the sweep's cells as they are built,
+without holding a report; ``_pieces`` feeds it a whole ``Report`` after
+checking every integer the format prints against Python's int-to-str digit
+limit, so a refused report writes nothing.  ``_utf8`` encodes every piece
+of stdout; ``emit_report`` joins a whole report's.
 """
 
 from __future__ import annotations
@@ -76,6 +81,18 @@ class Report(Value):
         return sum(len(rec.failures) for rec in self.checks)
 
 
+# the head of a report as the writers take it: structure, convention, max arity, verdict
+Head = tuple[str, str, int, bool]
+# a (check, arity) cell as they take it: check, arity, words, failure count, failures
+Cell = tuple[str, int, int, int, Iterable[Failure]]
+
+
+def _collect(head: Head, cells: Iterable[Cell]) -> Report:
+    """The report of a stream, each record's failures collected."""
+    records = (CheckRecord(c, n, words, tuple(found)) for c, n, words, _, found in cells)
+    return Report(*head[:3], tuple(records))
+
+
 def _term_order(words: Iterable[tuple]) -> list[tuple]:
     """The words of a defect's terms in print order: by length, then word."""
     return sorted(words, key=lambda w: (len(w), w))
@@ -85,22 +102,22 @@ def _format_terms(terms: Iterable[DefectTerm]) -> str:
     return " + ".join(f"{c} {','.join(w)}" for c, w in terms).translate(_ONE_LINE) or "0"
 
 
-def _text(report: Report) -> Iterator[str]:
+def _text(head: Head, cells: Iterable[Cell]) -> Iterator[str]:
     """The human-readable layout, one line at a time."""
-    yield f"structure: {report.structure.translate(_ONE_LINE)}\n"
-    yield f"convention: {report.convention}\n"
-    yield f"max arity: {report.max_arity}\n"
-    for rec in report.checks:
-        yield (
-            f"check {rec.check}, arity {rec.arity}: "
-            f"{rec.words} words, {len(rec.failures)} failures\n"
-        )
-        for f in rec.failures:
+    structure, convention, max_arity, _ = head
+    yield f"structure: {structure.translate(_ONE_LINE)}\n"
+    yield f"convention: {convention}\n"
+    yield f"max arity: {max_arity}\n"
+    failure_count = total_words = 0
+    for check, arity, words, count, failures in cells:
+        failure_count += count
+        total_words += words
+        yield f"check {check}, arity {arity}: {words} words, {count} failures\n"
+        for f in failures:
             word = ",".join(f.word).translate(_ONE_LINE)
             yield f"  word {word}: defect {_format_terms(f.defect)}\n"
-    verdict = "PASS" if report.passed else "FAIL"
-    total_words = sum(rec.words for rec in report.checks)
-    yield f"result: {verdict} ({report.failure_count} failures in {total_words} words)\n"
+    verdict = "FAIL" if failure_count else "PASS"
+    yield f"result: {verdict} ({failure_count} failures in {total_words} words)\n"
 
 
 _I = tuple("\n" + "  " * depth for depth in range(9))  # line start at each depth
@@ -121,8 +138,9 @@ def _json_stream(items: Iterable[Iterable[str]], depth: int) -> Iterator[str]:
     yield "[]" if sep == "[" else _I[depth] + "]"
 
 
-def _machine(report: Report) -> Iterator[str]:
+def _machine(head: Head, cells: Iterable[Cell]) -> Iterator[str]:
     """``json.dumps(indent=2)`` of the report as nested dicts, written failure by failure."""
+    structure, convention, max_arity, passed = head
     q = cache(json.dumps)  # each basis name quoted once per report
 
     def failure(f: Failure) -> tuple[str]:  # one piece
@@ -135,21 +153,22 @@ def _machine(report: Report) -> Iterator[str]:
             f'{_I[5]}"defect": {_json_list(terms, 5)}{_I[4]}}}',
         )
 
-    def record(rec: CheckRecord) -> Iterator[str]:
+    def record(cell: Cell) -> Iterator[str]:
+        check, arity, words, _, failures = cell
         yield (
-            f'{{{_I[3]}"check": {json.dumps(rec.check)},{_I[3]}"arity": {rec.arity},'
-            f'{_I[3]}"words": {rec.words},{_I[3]}"failures": '
+            f'{{{_I[3]}"check": {json.dumps(check)},{_I[3]}"arity": {arity},'
+            f'{_I[3]}"words": {words},{_I[3]}"failures": '
         )
-        yield from _json_stream(map(failure, rec.failures), 3)
+        yield from _json_stream(map(failure, failures), 3)
         yield _I[2] + "}"
 
     yield (
-        f'{{{_I[1]}"structure": {json.dumps(report.structure)},'
-        f'{_I[1]}"convention": {json.dumps(report.convention)},'
-        f'{_I[1]}"max_arity": {report.max_arity},{_I[1]}"pass": {json.dumps(report.passed)},'
+        f'{{{_I[1]}"structure": {json.dumps(structure)},'
+        f'{_I[1]}"convention": {json.dumps(convention)},'
+        f'{_I[1]}"max_arity": {max_arity},{_I[1]}"pass": {json.dumps(passed)},'
         f'{_I[1]}"checks": '
     )
-    yield from _json_stream(map(record, report.checks), 1)
+    yield from _json_stream(map(record, cells), 1)
     yield "\n}\n"
 
 
@@ -194,12 +213,20 @@ def _check_printable(report: Report, format: str) -> None:
             )
 
 
-def _pieces(report: Report, format: str) -> Iterator[str]:
-    """The report in ``format`` in pieces, refused before the first if unprintable."""
+def _render(head: Head, cells: Iterable[Cell], format: str) -> Iterator[str]:
+    """The streamed report in ``format`` in pieces, each cell's as it comes."""
     if format not in ("text", "machine"):
         raise ValueError(f"unknown report format {format!r}")
+    return _machine(head, cells) if format == "machine" else _text(head, cells)
+
+
+def _pieces(report: Report, format: str) -> Iterator[str]:
+    """The report in ``format`` in pieces, refused before the first if unprintable."""
+    head = (report.structure, report.convention, report.max_arity, report.passed)
+    cells = ((r.check, r.arity, r.words, len(r.failures), r.failures) for r in report.checks)
+    pieces = _render(head, cells, format)
     _check_printable(report, format)
-    return _machine(report) if format == "machine" else _text(report)
+    return pieces
 
 
 def _utf8(pieces: Iterable[str]) -> Iterator[bytes]:

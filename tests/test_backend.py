@@ -297,6 +297,23 @@ def test_sweep_copies_neither_tables_nor_defects():
     assert peak < 900_000, f"peak traced memory {peak} bytes"
 
 
+def test_coderivation_cell_of_top_windows_only_is_not_copied():
+    """z32 has bad windows at arity 3 only; there no two placements meet.
+
+    So the arity-3 coderivation cell is those windows themselves.  With a
+    window below the arity, the cell is assembled afresh.
+    """
+    s = z32_broken()
+    tables, degrees = s.tables_up_to(3), s.space.degrees
+    scale = lcm(*{c.denominator for t in tables.values() for v in t.values() for c in v.values()})
+    sums = [dict(backend._top_sums(tables, scale, degrees, n)) for n in (1, 2, 3)]
+    windows = [backend._desuspended(top, degrees) for top in sums]
+    assert not windows[0] and not windows[1] and windows[2]
+    assert backend._sweep_one(s, "coderivation", 3, sums[2], windows) is windows[2]
+    lower = [{(0,): {(1,): 1}}, *windows[1:]]
+    assert backend._sweep_one(s, "coderivation", 3, sums[2], lower) is not windows[2]
+
+
 def shared_terms(report: Report) -> tuple[int, int]:
     """Count the defect terms that repeat an equal one of the same record.
 

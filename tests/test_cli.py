@@ -1,5 +1,7 @@
 """End-to-end command-line behavior and exit-code partitioning."""
 
+import contextlib
+import gc
 import io
 import os
 import signal
@@ -23,6 +25,7 @@ from ainfty import (
     verify_structure,
 )
 from ainfty.cli import run_cli
+from conftest import random_structures
 from test_engine import mutated_structure, truncated_example
 from test_formats import SEPARATORS
 
@@ -124,6 +127,18 @@ def test_verify_parse_error_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 4" in err
+
+
+def test_byte_order_mark_is_named(tmp_path, capsys):
+    path = tmp_path / "bom.astr"
+    path.write_bytes(b"\xef\xbb\xbf" + (CORPUS / "z12.astr").read_bytes())
+    assert run_cli(["verify", "--input", str(path), "--max-arity", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 1: expected header 'ainfty v1'; "
+        "the file starts with a byte-order mark (U+FEFF)\n"
+    )
 
 
 @pytest.mark.parametrize("sep", SEPARATORS)
@@ -265,6 +280,30 @@ def test_stdout_closed_after_100_bytes_exits_two():
     assert "Broken pipe" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [LARGE_REPORT, ["verify", "--max-arity", "2"], ["lemma1", "--max-arity", "2"]]
+)
+def test_buffered_stdout_closed_before_the_first_write_exits_two(argv):
+    """As in a user's shell, stdout is buffered: a report smaller than the
+    buffer reaches the closed pipe only at ``_write``'s flush, not at a write."""
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "ainfty.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    _assert_one_error_line(child, child.stderr)
+    assert "Broken pipe" in child.stderr
+
+
 def test_out_of_memory_exits_two_with_one_line():
     resource = pytest.importorskip("resource")
     limit = 64 << 20  # bytes of address space: enough to start, not for this sweep
@@ -272,8 +311,8 @@ def test_out_of_memory_exits_two_with_one_line():
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    # coderivation 1..10 on mutated.astr holds about 110 MB at its peak
-    argv = ["verify", "--check", "coderivation", "--max-arity", "10"]
+    # the arity-11 coderivation cell of mutated.astr holds well over 64 MB
+    argv = ["verify", "--check", "coderivation", "--max-arity", "11"]
     child = subprocess.run(
         [sys.executable, "-m", "ainfty.cli", *argv, "--input", str(CORPUS / "mutated.astr")],
         stdout=subprocess.DEVNULL,
@@ -295,7 +334,7 @@ def test_memory_error_exits_two(monkeypatch, capsys, error):
     def no_memory(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "verify_structure", no_memory)
+    monkeypatch.setattr(cli, "_sweep", no_memory)
     code = run_cli(["verify", "--max-arity", "2"])
     captured = capsys.readouterr()
     assert code == 2
@@ -331,6 +370,54 @@ def test_cli_writes_the_report_in_pieces(fmt, monkeypatch):
     whole = emit_report(report, format=fmt)
     assert b"".join(stdout.writes) == whole
     assert max(map(len, stdout.writes)) <= len(whole) / 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=random_structures(max_arity=3, min_dim=1, max_dim=3), max_arity=st.integers(1, 4))
+def test_streamed_verify_equals_the_library_report(s, max_arity, tmp_path_factory):
+    """Passing or failing, the CLI's streamed bytes are the library report's."""
+    path = tmp_path_factory.mktemp("streamed") / "random.astr"
+    path.write_text(serialize_structure(s), encoding="utf-8")
+    parsed = parse_structure(path.read_text(encoding="utf-8"), name=path.name)
+    for mode in ("direct", "coderivation", "both"):
+        report = verify_structure(parsed, max_arity, mode=mode)
+        for fmt in ("text", "machine"):
+            stdout = _RecordingBinaryStdout()
+            argv = ["verify", "--input", str(path), "--check", mode, "--format", fmt]
+            with contextlib.redirect_stdout(stdout):
+                code = run_cli([*argv, "--max-arity", str(max_arity)])
+            assert code == (0 if report.passed else 1)
+            assert b"".join(stdout.writes) == emit_report(report, format=fmt)
+
+
+class _FailureCountingStdout(_RecordingBinaryStdout):
+    """Counts the ``Failure`` objects alive, beyond those of the start, at each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.alive = []
+        self.before = self._failures()
+
+    @staticmethod
+    def _failures():
+        return sum(type(o) is Failure for o in gc.get_objects())
+
+    def write(self, data):
+        self.alive.append(self._failures() - self.before)
+        return super().write(data)
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_failing_verify_holds_one_failure_at_a_time(fmt, monkeypatch):
+    gc.collect()
+    stdout = _FailureCountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ["--check", "both", "--format", fmt, "--max-arity", "4"]
+    assert run_cli(["verify", *argv, "--input", str(CORPUS / "mutated.astr")]) == 1
+    assert len(stdout.alive) > 45  # 45 failures, each written on its own
+    assert max(stdout.alive) <= 1
+    if fmt == "text":  # a failure is alive while its line is written
+        assert 1 in stdout.alive
 
 
 def test_cli_import_loads_no_introspection_modules():
@@ -499,6 +586,51 @@ def test_unprintable_defect_coefficient_boundary(fmt, digit_limit):
             emit_report(report(c), format=fmt)
     sys.set_int_max_str_digits(0)  # no limit
     emit_report(report(Fraction(10**4300)), format=fmt)
+
+
+def _one_letter_chain(first: str, second: str) -> str:
+    """m_1 (a) = first b, m_1 (b) = second c: S(a) = first * second c at arity 1."""
+    return (
+        "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\nbasis c 2\n"
+        f"map 1: a -> {first} b\nmap 1: b -> {second} c\n"
+    )
+
+
+# phase 1 bounds every integer a failure prints by max(max_arity * max|S|,
+# scale**2), with S scaled by scale**2; the CLI holds the report only when
+# that bound reaches 10**4300, and then checks it exactly
+@pytest.mark.parametrize(
+    "first, second, max_arity, held, code",
+    [
+        (f"{10**2150 - 1}", f"{10**2150 + 1}", 1, False, 1),  # |S| = 10**4300 - 1
+        (f"{10**2150}", f"{10**2150}", 1, True, 2),  # |S| = 10**4300: refused
+        (f"{5 * 10**2149}", f"{10**2150}", 2, True, 1),  # 2 |S| = 10**4300: prints
+        (f"1/{10**2150 - 1}", "1", 1, False, 1),  # scale**2 < 10**4300
+        (f"1/{10**2150}", "1", 1, True, 1),  # scale**2 = 10**4300: prints
+    ],
+)
+def test_phase_one_bound_decides_when_the_report_is_held(
+    first, second, max_arity, held, code, digit_limit, tmp_path, monkeypatch, capsysbinary
+):
+    calls = []
+    collect = cli._collect
+
+    def holding(*args):
+        calls.append(args)
+        return collect(*args)
+
+    monkeypatch.setattr(cli, "_collect", holding)
+    path = tmp_path / "chain.astr"
+    path.write_text(_one_letter_chain(first, second))
+    argv = ["verify", "--check", "both", "--format", "machine", "--input", str(path)]
+    assert run_cli([*argv, "--max-arity", str(max_arity)]) == code
+    assert bool(calls) is held
+    out = capsysbinary.readouterr().out
+    if code == 2:
+        assert out == b""
+    else:
+        s = parse_structure(_one_letter_chain(first, second), name=path.name)
+        assert out == emit_report(verify_structure(s, max_arity), format="machine")
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])

@@ -28,6 +28,23 @@ def test_every_mutant_anchor_occurs_once(mutants):
     assert mutants.stale_anchors(mutants.MUTANTS) == []
 
 
+def test_each_run_starts_with_its_killer_and_keeps_every_file(mutants, monkeypatch, tmp_path):
+    assert {m.killer for m in mutants.MUTANTS} <= set(mutants.SUBSET)
+    commands = []
+
+    def run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(mutants.subprocess, "run", run)
+    mutants.run_subset(tmp_path, "tests/test_cli.py")
+    mutants.run_subset(tmp_path)
+    files = [[arg for arg in cmd if arg.startswith("tests/")] for cmd in commands]
+    assert files[0][0] == "tests/test_cli.py"
+    assert sorted(files[0]) == sorted(mutants.SUBSET)
+    assert files[1] == list(mutants.SUBSET)
+
+
 FAILED_RUN = """\
 ..........F
 =================================== FAILURES ===================================

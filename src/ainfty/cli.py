@@ -4,26 +4,27 @@ Exit codes partition the outcomes: 0 = all requested checks pass, 1 = a
 verification check found a nonzero defect, 2 = usage, input or parse
 error, 3 = internal error (a bug in this package), 130 = interrupted
 (SIGINT), with one ``interrupted`` line on standard error.  A reader that
-closes standard output early (``| head``) and running out of memory both
+closes standard output early (``| head``), running out of memory, a
+``--max-arity`` below 1 and a report with an integer too long to print all
 exit 2 with one ``error:`` line.  Reports go to standard output as they are
 written, diagnostics to standard error; no outcome prints a traceback.
+``verify`` and ``linfty`` write through ``report._pieces``, which alone
+decides whether a report streams or is held and checked.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections.abc import Iterable
 
 from ._backend import _sweep, verify_linfty
-from ._backend import verify_structure  # unused here: tests patch cli.verify_structure
 from .engine import AStructure, apply_map, d_squared, prime
 from .errors import AinftyError, InputError
 from .example import BUILTIN_STRUCTURES, lemma1_check
 from .formats import parse_structure
-from .report import _collect, _digit_limit, _format_terms, _pieces, _render, _term_order, _utf8
+from .report import _format_terms, _pieces, _refuse_unprintable, _stream, _term_order, _utf8
 from .report import emit_report  # unused here: perfbench/trace_cli.py wraps cli.emit_report
 
 EXIT_PASS = 0
@@ -123,51 +124,17 @@ def _write(pieces: Iterable[str]) -> None:
     sys.stdout.flush()  # a closed stdout fails here, not at exit
 
 
-def _refuse_unprintable(dim: int, max_arity: int, n_checks: int, fmt: str) -> None:
-    """Refuse, before any sweep, a report with an integer too long to print.
-
-    Python refuses ``str()`` of an int with more digits than
-    ``_digit_limit()``.  Every record prints dim**arity, and the text result
-    line the total over all ``n_checks * arities`` records.  The limit also
-    guards the parser's ``int()`` calls on file input, so it stays.
-    """
-    limit = _digit_limit()
-    if not limit:
-        return
-    # far past the limit, skip the exact powers; max_arity may not fit a float
-    if dim < 2 or max_arity <= (limit + 1) / math.log10(dim):
-        if fmt == "machine":
-            largest = dim**max_arity
-        elif dim == 1:
-            largest = n_checks * max_arity
-        else:
-            # dim + dim**2 + ... + dim**max_arity, in closed form
-            largest = n_checks * (dim ** (max_arity + 1) - dim) // (dim - 1)
-        if largest < 10**limit:
-            return
-    raise InputError(
-        f"--max-arity {max_arity}: the {fmt} report would print an integer of "
-        f"more than {limit} digits (sys.get_int_max_str_digits())"
-    )
-
-
 def _cmd_sweep(args) -> int:
     s = _load_structure(args)
     _refuse_unprintable(
         s.space.dim, args.max_arity, 2 if args.check == "both" else 1, args.format
     )
     if args.check == "linfty":
-        report = verify_linfty(s, args.max_arity)
+        stream = _stream(verify_linfty(s, args.max_arity))
     else:
-        head, bound, cells = _sweep(s, args.max_arity, args.check)
-        limit = _digit_limit()
-        if not limit or bound < 10**limit:
-            _write(_render(head, cells, args.format))
-            return EXIT_PASS if head[3] else EXIT_FAIL
-        # a coefficient may be too long to print: hold the report and check it exactly
-        report = _collect(head, cells)
-    _write(_pieces(report, args.format))
-    return EXIT_PASS if report.passed else EXIT_FAIL
+        stream = _sweep(s, args.max_arity, args.check)
+    _write(_pieces(stream, args.format))
+    return EXIT_PASS if stream[0][3] else EXIT_FAIL
 
 
 def _cmd_lemma1(args) -> int:

@@ -1,16 +1,16 @@
 """Machine-readable verification outcomes and their two output formats.
 
 The writers take a report as a stream: its head (structure, convention,
-maximum arity and verdict) and its (check, arity) cells, each a header
-(check, arity, words, failure count) and then its failures one at a time,
-in word order.  ``_render`` yields that stream in pieces, in either
-format: the text layout one line at a time, the machine layout record by
-record and failure by failure, so a writer never holds the rendered report
-whole.  The CLI's ``verify`` feeds it the sweep's cells as they are built,
-without holding a report; ``_pieces`` feeds it a whole ``Report`` after
-checking every integer the format prints against Python's int-to-str digit
-limit, so a refused report writes nothing.  ``_utf8`` encodes every piece
-of stdout; ``emit_report`` joins a whole report's.
+maximum arity and verdict), a bound on every integer its failures print or
+``None``, and its (check, arity) cells, each a header (check, arity, words,
+failure count) and then its failures one at a time, in word order.
+``_pieces`` yields a stream in pieces, in either format, one line or one
+failure at a time, so a writer never holds the rendered report whole.  Only
+this module knows Python's int-to-str digit limit: ``_refuse_unprintable``
+refuses word counts too long before any sweep, and ``_pieces`` holds and
+checks the cells first unless the bound is below it, so a refused report
+writes nothing.  ``_stream`` gives a held ``Report`` the stream's shape.
+``_utf8`` encodes every piece of stdout; ``emit_report`` joins a whole report's.
 """
 
 from __future__ import annotations
@@ -85,10 +85,12 @@ class Report(Value):
 Head = tuple[str, str, int, bool]
 # a (check, arity) cell as they take it: check, arity, words, failure count, failures
 Cell = tuple[str, int, int, int, Iterable[Failure]]
+# a report as the writers take it: head, a bound on its failures' integers or None, cells
+Stream = tuple[Head, int | None, Iterable[Cell]]
 
 
 def _collect(head: Head, cells: Iterable[Cell]) -> Report:
-    """The report of a stream, each record's failures collected."""
+    """The report of a head and its cells, each record's failures collected."""
     records = (CheckRecord(c, n, words, tuple(found)) for c, n, words, _, found in cells)
     return Report(*head[:3], tuple(records))
 
@@ -172,22 +174,22 @@ def _machine(head: Head, cells: Iterable[Cell]) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _printed_ints(report: Report, format: str) -> Iterator[int]:
-    """Every integer that ``format`` prints, some of them more than once.
+def _printed_ints(head: Head, cells: list[Cell], format: str) -> Iterator[int]:
+    """Every integer that ``format`` prints of held cells, some of them more than once.
 
     A record's failure count in the text layout is at most the total.
     """
-    yield report.max_arity
-    for rec in report.checks:
-        yield rec.arity
-        yield rec.words
-        for f in rec.failures:
+    yield head[2]
+    for _, arity, words, _, failures in cells:
+        yield arity
+        yield words
+        for f in failures:
             for c, _ in f.defect:
                 yield c.numerator
                 yield c.denominator
     if format == "text":  # the result line's totals
-        yield report.failure_count
-        yield sum(rec.words for rec in report.checks)
+        yield sum(cell[3] for cell in cells)
+        yield sum(cell[2] for cell in cells)
 
 
 def _digit_limit() -> int:
@@ -195,38 +197,62 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _check_printable(report: Report, format: str) -> None:
-    """Raise ``InputError`` if ``format`` would print an int longer than Python allows.
+def _unprintable(what: str, limit: int) -> InputError:
+    return InputError(
+        f"{what} would print an integer of more than {limit} digits "
+        "(sys.get_int_max_str_digits())"
+    )
 
-    ``str()`` refuses an int of more than ``_digit_limit()`` digits, that
-    is an int whose absolute value is at least ``10**limit``.
+
+def _refuse_unprintable(dim: int, max_arity: int, n_checks: int, fmt: str) -> None:
+    """Refuse, before any sweep, a report with an integer too long to print.
+
+    Python refuses ``str()`` of an int with more digits than
+    ``_digit_limit()``.  Every record prints dim**arity, and the text result
+    line the total over all ``n_checks * arities`` records.  The limit also
+    guards the parser's ``int()`` calls on file input, so it stays.
     """
     limit = _digit_limit()
-    if not limit:
+    if not limit or max_arity < 1:  # the sweep refuses max_arity < 1
         return
-    big = 10**limit
-    for i in _printed_ints(report, format):
-        if abs(i) >= big:
-            raise InputError(
-                f"the report would print an integer of more than "
-                f"{limit} digits (sys.get_int_max_str_digits())"
-            )
+    # far past the limit, skip the exact powers: dim**max_arity >= 2**(4 * limit) > 10**limit
+    if dim < 2 or max_arity * (dim.bit_length() - 1) <= 4 * limit:
+        if fmt == "machine":
+            largest = dim**max_arity
+        elif dim == 1:
+            largest = n_checks * max_arity
+        else:
+            # dim + dim**2 + ... + dim**max_arity, in closed form
+            largest = n_checks * (dim ** (max_arity + 1) - dim) // (dim - 1)
+        if largest < 10**limit:
+            return
+    raise _unprintable(f"--max-arity {max_arity}: the {fmt} report", limit)
 
 
-def _render(head: Head, cells: Iterable[Cell], format: str) -> Iterator[str]:
-    """The streamed report in ``format`` in pieces, each cell's as it comes."""
-    if format not in ("text", "machine"):
-        raise ValueError(f"unknown report format {format!r}")
-    return _machine(head, cells) if format == "machine" else _text(head, cells)
-
-
-def _pieces(report: Report, format: str) -> Iterator[str]:
-    """The report in ``format`` in pieces, refused before the first if unprintable."""
+def _stream(report: Report) -> Stream:
+    """A held report as a stream, its bound unknown."""
     head = (report.structure, report.convention, report.max_arity, report.passed)
     cells = ((r.check, r.arity, r.words, len(r.failures), r.failures) for r in report.checks)
-    pieces = _render(head, cells, format)
-    _check_printable(report, format)
-    return pieces
+    return head, None, cells
+
+
+def _pieces(stream: Stream, format: str) -> Iterator[str]:
+    """The stream in ``format`` in pieces, refused before the first if unprintable.
+
+    ``str()`` refuses an int of at least ``10**_digit_limit()`` in absolute
+    value.  Below that bound the cells stream as they come; otherwise they
+    are held and every integer they print is checked first.
+    """
+    if format not in ("text", "machine"):
+        raise ValueError(f"unknown report format {format!r}")
+    head, bound, cells = stream
+    limit = _digit_limit()
+    big = 10**limit
+    if limit and (bound is None or bound >= big):
+        cells = [(c, n, words, count, tuple(found)) for c, n, words, count, found in cells]
+        if any(abs(i) >= big for i in _printed_ints(head, cells, format)):
+            raise _unprintable("the report", limit)
+    return _machine(head, cells) if format == "machine" else _text(head, cells)
 
 
 def _utf8(pieces: Iterable[str]) -> Iterator[bytes]:
@@ -241,4 +267,4 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     re-emission of the same report is byte-identical.  An integer with more
     digits than ``sys.get_int_max_str_digits()`` allows raises ``InputError``.
     """
-    return b"".join(_utf8(_pieces(report, format)))
+    return b"".join(_utf8(_pieces(_stream(report), format)))

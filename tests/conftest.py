@@ -147,3 +147,20 @@ def valid_structures():
 @st.composite
 def permutations_of(draw, n: int):
     return tuple(draw(st.permutations(list(range(n)))))
+
+
+def rescaled(s: AStructure, t: Fraction, max_arity: int) -> AStructure:
+    """``s`` with each m_k of arity 1..max_arity multiplied by ``t**(k - 2)``.
+
+    A term of the direct identity, of D(D(word)) or of a Jacobi relation
+    composes two maps m_a, m_b on a + b - 1 letters, and so picks up
+    ``t**(a + b - 4)``: at arity n a one-letter defect scales by
+    ``t**(n - 3)``, and a defect word of l letters by ``t**(n - l - 2)``.
+    """
+    maps = {}
+    for k in range(1, max_arity + 1):
+        m = s.map_at(k)
+        if m is not None:
+            table = {w: {b: c * t ** (k - 2) for b, c in vec.items()} for w, vec in m.table.items()}
+            maps[k] = MultiMap(s.space, k, table, primed=m.primed)
+    return AStructure(s.space, maps=maps, name=s.name)

@@ -31,7 +31,7 @@ from ainfty import (
 import ainfty._backend as backend
 import ainfty.engine as engine
 from ainfty.signs import desusp_word_sign
-from conftest import nonzero_coefficients, random_structures
+from conftest import nonzero_coefficients, random_structures, rescaled, valid_structures
 from test_engine import mutated_structure
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -652,3 +652,47 @@ def test_phase_one_fixes_every_verdict(s):
     coderivation = verify_structure(s, 4, "coderivation").passed
     assert direct is coderivation is a_infinity
     assert verify_linfty(s, 4).passed is linfty
+
+
+def _lowest_failing_arity(report: Report, check: str):
+    return min((r.arity for r in report.checks if r.check == check and r.failures), default=None)
+
+
+# narrow degrees give random structures many entries: about a third fail
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.one_of(
+        random_structures(max_arity=3, min_dim=2, max_dim=3, min_degree=-1, max_degree=1),
+        valid_structures(),
+    ),
+    t=st.sampled_from([Fraction(-5, 7), Fraction(101, 9973)]),
+    max_arity=st.integers(1, 4),
+)
+@example(s=mutated_structure(), t=Fraction(101, 9973), max_arity=5)
+@example(s=example_structure(), t=Fraction(-5, 7), max_arity=6)
+def test_rescaling_scales_each_defect_by_a_power_of_t(s, t, max_arity):
+    """``m_k -> t**(k - 2) m_k`` keeps every verdict and scales every defect.
+
+    The large-prime denominator of ``t = 101/9973`` enters the lcm scale of
+    passing structures too.  At arity n a defect term on a word of l letters
+    is ``t**(n - l - 2)`` times the original: ``t**(n - 3)`` for the
+    one-letter direct and linfty defects.
+    """
+    r = rescaled(s, t, max_arity)
+    pairs = [
+        (verify_structure(s, max_arity, "both"), verify_structure(r, max_arity, "both")),
+        (verify_linfty(s, max_arity), verify_linfty(r, max_arity)),
+    ]
+    for before, after in pairs:
+        assert after.passed is before.passed
+        for check in ("direct", "coderivation", "linfty"):
+            assert _lowest_failing_arity(after, check) == _lowest_failing_arity(before, check)
+        assert len(after.checks) == len(before.checks)
+        for old, new in zip(before.checks, after.checks):
+            assert (new.check, new.arity, new.words) == (old.check, old.arity, old.words)
+            assert [f.word for f in new.failures] == [f.word for f in old.failures]
+            for f, g in zip(old.failures, new.failures):
+                if old.check != "coderivation":
+                    assert all(len(w) == 1 for _, w in f.defect)
+                scaled = tuple((c * t ** (old.arity - len(w) - 2), w) for c, w in f.defect)
+                assert g.defect == scaled

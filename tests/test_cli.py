@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ainfty import (
     CheckRecord,
@@ -21,7 +21,9 @@ from ainfty import (
     cli,
     emit_report,
     parse_structure,
+    report as report_module,
     serialize_structure,
+    verify_linfty,
     verify_structure,
 )
 from ainfty.cli import run_cli
@@ -375,15 +377,22 @@ def test_cli_writes_the_report_in_pieces(fmt, monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(s=random_structures(max_arity=3, min_dim=1, max_dim=3), max_arity=st.integers(1, 4))
 def test_streamed_verify_equals_the_library_report(s, max_arity, tmp_path_factory):
-    """Passing or failing, the CLI's streamed bytes are the library report's."""
+    """Passing or failing, the CLI's streamed bytes are the library report's.
+
+    ``linfty`` writes the held report through the same path as ``verify``.
+    """
     path = tmp_path_factory.mktemp("streamed") / "random.astr"
     path.write_text(serialize_structure(s), encoding="utf-8")
     parsed = parse_structure(path.read_text(encoding="utf-8"), name=path.name)
-    for mode in ("direct", "coderivation", "both"):
-        report = verify_structure(parsed, max_arity, mode=mode)
+    runs = [
+        (["verify", "--check", mode], verify_structure(parsed, max_arity, mode=mode))
+        for mode in ("direct", "coderivation", "both")
+    ]
+    runs.append((["linfty"], verify_linfty(parsed, max_arity)))
+    for command, report in runs:
         for fmt in ("text", "machine"):
             stdout = _RecordingBinaryStdout()
-            argv = ["verify", "--input", str(path), "--check", mode, "--format", fmt]
+            argv = [*command, "--input", str(path), "--format", fmt]
             with contextlib.redirect_stdout(stdout):
                 code = run_cli([*argv, "--max-arity", str(max_arity)])
             assert code == (0 if report.passed else 1)
@@ -461,23 +470,27 @@ def digit_limit():
     ],
 )
 def test_unprintable_report_boundary(digit_limit, dim, fmt, n_checks, last):
-    cli._refuse_unprintable(dim, last, n_checks, fmt)
+    report_module._refuse_unprintable(dim, last, n_checks, fmt)
     with pytest.raises(InputError, match="more than 4300 digits"):
-        cli._refuse_unprintable(dim, last + 1, n_checks, fmt)
+        report_module._refuse_unprintable(dim, last + 1, n_checks, fmt)
 
 
 def test_unprintable_report_helper_agrees_with_python(digit_limit):
     assert len(str(3**9012)) == 4300
     with pytest.raises(ValueError):
         str(3**9013)
+    refuse = report_module._refuse_unprintable
     # far past the limit the refusal builds no power of dim
     with pytest.raises(InputError):
-        cli._refuse_unprintable(3, 10**12, 1, "machine")
-    cli._refuse_unprintable(1, 10**5, 2, "text")
+        refuse(3, 10**12, 1, "machine")
+    refuse(1, 10**5, 2, "text")
     # the dim-1 text total is computed, not summed over the arities
-    cli._refuse_unprintable(1, 10**400, 2, "text")
+    refuse(1, 10**400, 2, "text")
+    # a max_arity below 1 is the sweep's to refuse; no power of dim is built
+    for fmt in ("text", "machine"):
+        refuse(3, -(10**400 - 1), 2, fmt)
     sys.set_int_max_str_digits(0)  # no limit
-    cli._refuse_unprintable(3, 10**5, 2, "text")
+    refuse(3, 10**5, 2, "text")
 
 
 @pytest.mark.parametrize(
@@ -500,7 +513,7 @@ def test_unprintable_report_refused_before_any_sweep(
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep started")
 
-    monkeypatch.setattr(cli, "verify_structure", no_sweep)
+    monkeypatch.setattr(cli, "_sweep", no_sweep)
     monkeypatch.setattr(cli, "verify_linfty", no_sweep)
     code = run_cli(argv + ["--builtin", "paper-example"])
     captured = capsys.readouterr()
@@ -508,6 +521,66 @@ def test_unprintable_report_refused_before_any_sweep(
     assert captured.out == ""
     assert captured.err.startswith("error: --max-arity ")
     assert captured.err.count("\n") == 1
+
+
+SWEEP_COMMANDS = [
+    ["verify", "--format", "text"],
+    ["verify", "--format", "machine"],
+    ["linfty", "--format", "text"],
+    ["linfty", "--format", "machine"],
+]
+
+
+# a negative arity too large for a float once made the refusal's float guard raise
+@pytest.mark.parametrize("max_arity", [-1, 0, -(10**400 - 1)])
+@pytest.mark.parametrize("argv", SWEEP_COMMANDS)
+def test_max_arity_below_one_exits_two(argv, max_arity, digit_limit, capsys):
+    code = run_cli([*argv, "--builtin", "paper-example", "--max-arity", str(max_arity)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: max_arity must be >= 1\n"
+
+
+def _refused_sweep(real):
+    """``real`` below arity 1, which it refuses before reading a table; else an error."""
+
+    def sweep(s, max_arity, *args):
+        if max_arity < 1:
+            return real(s, max_arity, *args)
+        raise AssertionError("a sweep started")
+
+    return sweep
+
+
+# from 9013 up, every command's report on the example has an integer too
+# long to print; the digit limit is pinned once and no input changes it
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    argv=st.sampled_from(SWEEP_COMMANDS),
+    max_arity=st.one_of(
+        st.integers(max_value=0),
+        st.integers(min_value=9013),
+        st.integers(min_value=10**300),
+    ),
+)
+def test_no_sweep_starts_below_one_or_past_the_digit_limit(argv, max_arity, digit_limit):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_sweep", _refused_sweep(cli._sweep))
+        mp.setattr(cli, "verify_linfty", _refused_sweep(cli.verify_linfty))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli([*argv, "--builtin", "paper-example", "--max-arity", str(max_arity)])
+    assert code == 2
+    assert stdout.getvalue() == ""
+    err = stderr.getvalue()
+    assert err.count("\n") == 1
+    if max_arity < 1:
+        assert err == "error: max_arity must be >= 1\n"
+    else:
+        assert err.startswith(f"error: --max-arity {max_arity}: the ")
 
 
 # a 4000-digit coefficient prints; a product of two of them does not
@@ -613,13 +686,13 @@ def test_phase_one_bound_decides_when_the_report_is_held(
     first, second, max_arity, held, code, digit_limit, tmp_path, monkeypatch, capsysbinary
 ):
     calls = []
-    collect = cli._collect
+    printed_ints = report_module._printed_ints
 
     def holding(*args):
         calls.append(args)
-        return collect(*args)
+        return printed_ints(*args)
 
-    monkeypatch.setattr(cli, "_collect", holding)
+    monkeypatch.setattr(report_module, "_printed_ints", holding)
     path = tmp_path / "chain.astr"
     path.write_text(_one_letter_chain(first, second))
     argv = ["verify", "--check", "both", "--format", "machine", "--input", str(path)]

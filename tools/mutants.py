@@ -181,10 +181,25 @@ MUTANTS = (
            "_check_graded_symmetric(mp.space, table)", "pass",
            "tests/test_linfty.py"),
     Mutant("_pieces: digit pre-pass skipped", "src/ainfty/report.py",
-           "_check_printable(report, format)\n", "\n",
+           "if any(abs(i) >= big for i in _printed_ints(head, cells, format)):", "if False:",
            "tests/test_cli.py"),
-    Mutant("_check_printable: > for >=", "src/ainfty/report.py",
+    Mutant("_pieces: > for >=", "src/ainfty/report.py",
            "abs(i) >= big", "abs(i) > big",
+           "tests/test_cli.py"),
+    Mutant("_pieces: phase-1 digit bound off by one", "src/ainfty/report.py",
+           "bound >= big", "bound > big",
+           "tests/test_cli.py"),
+    Mutant("_stream: bound 0 for None", "src/ainfty/report.py",
+           "return head, None, cells", "return head, 0, cells",
+           "tests/test_cli.py"),
+    Mutant("_refuse_unprintable: < for <=", "src/ainfty/report.py",
+           "if largest < 10**limit:", "if largest <= 10**limit:",
+           "tests/test_cli.py"),
+    Mutant("_refuse_unprintable: max_arity < 1 return deleted", "src/ainfty/report.py",
+           "if not limit or max_arity < 1:", "if not limit:",
+           "tests/test_cli.py"),
+    Mutant("_refuse_unprintable: power guard at limit, not 4 * limit", "src/ainfty/report.py",
+           "<= 4 * limit:", "<= limit:",
            "tests/test_cli.py"),
     Mutant("_printed_ints: text totals unchecked", "src/ainfty/report.py",
            'if format == "text":', "if False:",
@@ -253,12 +268,6 @@ MUTANTS = (
            "tests/test_cli.py"),
     Mutant("run_cli: SIGINT exits 1", "src/ainfty/cli.py",
            "return 130", "return EXIT_FAIL",
-           "tests/test_cli.py"),
-    Mutant("_refuse_unprintable: < for <=", "src/ainfty/cli.py",
-           "if largest < 10**limit:", "if largest <= 10**limit:",
-           "tests/test_cli.py"),
-    Mutant("_cmd_sweep: phase-1 digit bound off by one", "src/ainfty/cli.py",
-           "bound < 10**limit", "bound <= 10**limit",
            "tests/test_cli.py"),
     Mutant("_write: flush deleted", "src/ainfty/cli.py",
            "    sys.stdout.flush()  # a closed stdout", "    pass  # a closed stdout",

@@ -27,17 +27,17 @@ some Sym(R) is nonzero.  So phase 1 also gives the machine report's
 integer a failure's coefficients print: the CLI holds a report, and checks
 it exactly against Python's digit limit, only when that bound passes it.
 
-All three sweeps run on Python ints.  ``_sweep`` takes ``scale``, the
+All three sweeps run on Python ints.  ``_indexed`` takes ``scale``, the
 lcm of the denominators of every table coefficient, once per run, and
-each walk indexes the entries of its arity with their coefficients times
-``scale``; no scaled copy of the tables outlives the walk.  Every term of
-the direct identity and of D(D(word)) is a product of exactly two
-coefficients, and symmetrization only adds such terms with integer
-weights, so a scaled defect is exactly ``scale**2`` times the true one and
-is zero exactly when it is.  Each cell returns only its failing words,
-without copying their defects, and ``_to_record`` divides each failure's
-defect back into ``Fraction``s, which reduce to lowest terms, so the
-records are the ones the ``Fraction`` oracle builds.
+indexes each table entry once, with its coefficients times ``scale``;
+every arity's walk reads that one index, which does not outlive phase 1.
+Every term of the direct identity and of D(D(word)) is a product of
+exactly two coefficients, and symmetrization only adds such terms with
+integer weights, so a scaled defect is exactly ``scale**2`` times the
+true one and is zero exactly when it is.  Each cell returns only its
+failing words, without copying their defects, and ``_to_record`` divides
+each failure's defect back into ``Fraction``s, which reduce to lowest
+terms, so the records are the ones the ``Fraction`` oracle builds.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ from .signs import _alpha_parity, _desusp_parity
 # a cell's failing words: input word -> {defect word: scaled coefficient}; the
 # direct and linfty defects are one-letter words (b,)
 Defects = dict[Word, dict[Word, int]]
+# arity k -> (by_first, by_output), m_k's scaled entries (``_indexed``)
+Entry = tuple[Word, int, int, list[tuple[int, int]]]
+Index = dict[int, tuple[dict[int, list[Entry]], dict[int, list[tuple[int, int]]]]]
 
 
 def active_backend() -> str:
@@ -66,7 +69,7 @@ def active_backend() -> str:
 
 
 def _top_sums(
-    tables: Tables, scale: int, degrees: tuple[int, ...], n: int
+    index: Index, degrees: tuple[int, ...], n: int
 ) -> Iterator[tuple[Word, dict[Word, int]]]:
     """The nonzero direct sums S(x) at the arity-n words, by first letter.
 
@@ -77,64 +80,41 @@ def _top_sums(
     letter, so only the triples are visited; every other word's sum is empty.
 
     The sum of x at output letter b2 is kept under one int, idx(x) * dim + b2,
-    where idx is the base-dim index of a word (``_index``).  Each entry gets
-    its index once, and an outer entry u also its lam = 0 tail offset
-    idx(u[1:]) * dim.  For lam >= 1 the prefix index grows by one letter of u
-    per step and the suffix index is idx(u) mod dim**(len(u) - lam - 1), so
-    each triple's key is one product and one sum, whatever n is; only the
-    nonzero sums are turned back into words (``_word``).
+    read off the run's ``index`` (``_indexed``).  For lam >= 1 the prefix index
+    grows by one letter of u per step and the suffix index is idx(u) mod
+    dim**(len(u) - lam - 1), so each triple's key is one product and one sum,
+    whatever n is; only the nonzero sums are turned back into words (``_word``).
 
     x starts with v[0] when lam = 0 and with u[0] otherwise, so the walk
     takes the triples one first letter at a time: the block accumulator holds
     the sums of at most dim**(n-1) words and is dropped before the next block.
     Each block's nonzero sums are yielded, keyed by the one-letter defect
     words (b,), one tuple per letter for the whole walk, and the driver keeps
-    those of every arity for the cells.  The ``Fraction`` coefficients of the
-    entries are indexed as ints times ``scale``, a multiple of every
-    denominator, so the sums are ``scale**2`` times the true ones.
+    those of every arity for the cells.
     """
     dim = len(degrees)
     power = [dim**i for i in range(n + 2)]
-    levels = []
-    for k in range(1, n + 1):
-        inner, outer = tables.get(k), tables.get(n - k + 1)
-        if not inner or not outer:
-            continue
-        # (idx(v), c_v[b]) by output letter b, and (idx(v), b, c_v[b]) by v[0]
-        by_output: dict[int, list[tuple[int, int]]] = {}
-        inner_by_first: dict[int, list[tuple[int, int, int]]] = {}
-        for v, vec in inner.items():
-            iv = _index(v, dim)
-            for b, c in vec.items():
-                c = c.numerator * (scale // c.denominator)
-                by_output.setdefault(b, []).append((iv, c))
-                inner_by_first.setdefault(v[0], []).append((iv, b, c))
-        # (u, idx(u), tail offset, [(b2, c_u[b2]), ...]) by u[0]
-        outer_by_first: dict[int, list[tuple[Word, int, int, list[tuple[int, int]]]]] = {}
-        for u, vec in outer.items():
-            iu, tail = _index(u, dim), _index(u[1:], dim) * dim
-            scaled = [(b, c.numerator * (scale // c.denominator)) for b, c in vec.items()]
-            outer_by_first.setdefault(u[0], []).append((u, iu, tail, scaled))
-        levels.append((k, by_output, inner_by_first, outer_by_first))
+    levels = [(k, index[k], index[n - k + 1]) for k in sorted(index) if n - k + 1 in index]
     letter = [(b,) for b in range(len(degrees))]
-    firsts = sorted({a for level in levels for a in (*level[2], *level[3])})
+    firsts = sorted({a for _, (inner, _), (outer, _) in levels for a in (*inner, *outer)})
     for a in firsts:
         block: dict[int, int] = {}
         get = block.get
-        for k, by_output, inner_by_first, outer_by_first in levels:
+        for k, (inner, by_output), (outer, _) in levels:
             # lam = 0: x = v + u[1:]
             negate = _alpha_parity(k, 0, n, 0)
-            for iv, b, c in inner_by_first.get(a, ()):
-                if negate:
-                    c = -c
+            for _, iv, _, vvec in inner.get(a, ()):
                 base = iv * power[n - k + 1]
-                for _, _, tail, uvec in outer_by_first.get(b, ()):
-                    offset = base + tail
-                    for b2, c2 in uvec:
-                        key = offset + b2
-                        block[key] = get(key, 0) + c * c2
+                for b, c in vvec:
+                    if negate:
+                        c = -c
+                    for _, _, tail, uvec in outer.get(b, ()):
+                        offset = base + tail
+                        for b2, c2 in uvec:
+                            key = offset + b2
+                            block[key] = get(key, 0) + c * c2
             # lam >= 1: x = u[:lam] + v + u[lam+1:], prefix index pre, degree sum s
-            for u, iu, _, uvec in outer_by_first.get(a, ()):
+            for u, iu, _, uvec in outer.get(a, ()):
                 s, pre, m = degrees[a], a, len(u)
                 for lam in range(1, m):
                     negate = _alpha_parity(k, lam, n, s)
@@ -155,6 +135,29 @@ def _top_sums(
             if c:
                 tops.setdefault(key // dim, {})[letter[key % dim]] = c
         yield from ((_word(i, dim, n), top) for i, top in tops.items())
+
+
+def _indexed(tables: Tables, dim: int) -> tuple[int, Index]:
+    """The run's scale, and for each arity k the one index of m_k's entries.
+
+    ``scale`` is the lcm of every table coefficient's denominator, and each
+    coefficient is indexed times it, so the walk's sums are ``scale**2``
+    times the true ones.  ``by_first`` holds each entry w under w[0] as
+    (w, idx(w), idx(w[1:]) * dim, [(b, c_w[b]), ...]), for u and for v at
+    lam = 0; ``by_output`` holds (idx(w), c_w[b]) under each b, for v at
+    lam >= 1.  So each entry gets its base-dim index (``_index``) once.
+    """
+    scale = lcm(*{c.denominator for t in tables.values() for v in t.values() for c in v.values()})
+    index: Index = {}
+    for k, table in tables.items():
+        by_first, by_output = index[k] = {}, {}
+        for w, vec in table.items():
+            iw = _index(w, dim)
+            scaled = [(b, c.numerator * (scale // c.denominator)) for b, c in vec.items()]
+            by_first.setdefault(w[0], []).append((w, iw, _index(w[1:], dim) * dim, scaled))
+            for b, c in scaled:
+                by_output.setdefault(b, []).append((iw, c))
+    return scale, index
 
 
 def _index(w: Word, dim: int) -> int:
@@ -271,13 +274,10 @@ def _sweep(s: AStructure, max_arity: int, mode: str) -> tuple[Head, int, Iterato
     if max_arity < 1:
         raise InputError("max_arity must be >= 1")
     unprimed = s.unprimed_version()
-    tables = unprimed.tables_up_to(max_arity)
-    scale = lcm(
-        *{c.denominator for t in tables.values() for vec in t.values() for c in vec.values()}
-    )
+    scale, index = _indexed(unprimed.tables_up_to(max_arity), s.space.dim)
     degrees, arities = s.space.degrees, range(1, max_arity + 1)
     # phase 1, by arity n at index n - 1: the sums S and the bad windows R
-    sums = [dict(_top_sums(tables, scale, degrees, n)) for n in arities]
+    sums = [dict(_top_sums(index, degrees, n)) for n in arities]
     windows = [_desuspended(top, degrees) for top in sums]
     if mode == "linfty":
         # Symmetrization carries the Gerstenhaber bracket to the

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from hypothesis import Phase, settings, strategies as st
 
@@ -164,3 +166,78 @@ def rescaled(s: AStructure, t: Fraction, max_arity: int) -> AStructure:
             table = {w: {b: c * t ** (k - 2) for b, c in vec.items()} for w, vec in m.table.items()}
             maps[k] = MultiMap(s.space, k, table, primed=m.primed)
     return AStructure(s.space, maps=maps, name=s.name)
+
+
+# a degree-0 linear map of the space: letter i -> {letter j: coefficient of j in g(i)}
+LinearMap = dict[int, dict[int, Fraction]]
+
+
+def inverse(g: LinearMap, dim: int) -> LinearMap:
+    """The inverse of the invertible map ``g``, by Gauss-Jordan elimination."""
+    rows = [[Fraction(g[i].get(j, 0)) for j in range(dim)] + [Fraction(i == j) for j in range(dim)]
+            for i in range(dim)]
+    for col in range(dim):
+        pivot = next(r for r in range(col, dim) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [c / rows[col][col] for c in rows[col]]
+        for r in range(dim):
+            if r != col and rows[r][col]:
+                rows[r] = [c - rows[r][col] * d for c, d in zip(rows[r], rows[col])]
+    return {i: {j: c for j, c in enumerate(rows[i][dim:]) if c} for i in range(dim)}
+
+
+def transformed_word(g: LinearMap, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """``g`` applied to each letter of ``word``: g^{(x)n}(word) as {word: coefficient}."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for terms in product(*(g[a].items() for a in word)):
+        w = tuple(b for b, _ in terms)
+        out[w] = out.get(w, 0) + prod(c for _, c in terms)
+    return {w: c for w, c in out.items() if c}
+
+
+def conjugated(s: AStructure, g: LinearMap) -> AStructure:
+    """``s`` with each m_k replaced by m^g_k = g o m_k o (g^-1)^{(x)k}.
+
+    ``g`` must be invertible and of degree 0: each g(i) holds only letters of
+    i's degree.  Then no sign enters, and every direct defect transforms as
+    S^g = g o S o (g^-1)^{(x)n}; a permutation ``g`` only relabels letters.
+    """
+    space = s.space
+    # the transpose of g^-1: an entry's word w is read by each word x whose
+    # image under (g^-1)^{(x)k} holds w, with that coefficient
+    reads: LinearMap = {}
+    for x, vec in inverse(g, space.dim).items():
+        for a, c in vec.items():
+            reads.setdefault(a, {})[x] = c
+    maps = {}
+    for k in s.arities:
+        table: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        for w, vec in s.map_at(k).table.items():
+            for x, weight in transformed_word(reads, w).items():
+                acc = table.setdefault(x, {})
+                for b, c in vec.items():
+                    for b2, c2 in g[b].items():
+                        acc[b2] = acc.get(b2, 0) + weight * c * c2
+        maps[k] = MultiMap(space, k, table, primed=s.primed)
+    return AStructure(space, maps=maps, primed=s.primed, name=s.name)
+
+
+def direct_sum(a: AStructure, b: AStructure) -> AStructure:
+    """A (+) B: its letters are A's, named ``A.<name>``, then B's, named ``B.<name>``.
+
+    Each m_k acts as A's on the words of A's letters and as B's on those of
+    B's, shifted by A's dimension; a mixed word maps to zero.  Both are
+    unprimed and read in A's convention.
+    """
+    elements = [BasisElement(f"A.{e.name}", e.degree) for e in a.space.elements]
+    elements += [BasisElement(f"B.{e.name}", e.degree) for e in b.space.elements]
+    space = GradedSpace(elements, convention=a.space.convention)
+    shift = a.space.dim
+    maps = {}
+    for k in sorted({*a.arities, *b.arities}):
+        ma, mb = a.map_at(k), b.map_at(k)
+        table = dict(ma.table) if ma is not None else {}
+        for w, vec in (mb.table if mb is not None else {}).items():
+            table[tuple(i + shift for i in w)] = {i + shift: c for i, c in vec.items()}
+        maps[k] = MultiMap(space, k, table)
+    return AStructure(space, maps=maps, name=f"{a.name}+{b.name}")

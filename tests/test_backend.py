@@ -3,7 +3,6 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -304,9 +303,9 @@ def test_coderivation_cell_of_top_windows_only_is_not_copied():
     window below the arity, the cell is assembled afresh.
     """
     s = z32_broken()
-    tables, degrees = s.tables_up_to(3), s.space.degrees
-    scale = lcm(*{c.denominator for t in tables.values() for v in t.values() for c in v.values()})
-    sums = [dict(backend._top_sums(tables, scale, degrees, n)) for n in (1, 2, 3)]
+    degrees = s.space.degrees
+    _, index = backend._indexed(s.tables_up_to(3), s.space.dim)
+    sums = [dict(backend._top_sums(index, degrees, n)) for n in (1, 2, 3)]
     windows = [backend._desuspended(top, degrees) for top in sums]
     assert not windows[0] and not windows[1] and windows[2]
     assert backend._sweep_one(s, "coderivation", 3, sums[2], windows) is windows[2]
@@ -353,7 +352,6 @@ def triples_walked(s: AStructure, n: int) -> int:
     """
     tables = s.tables_up_to(n)
     assert all(len(vec) == 1 for t in tables.values() for vec in t.values())
-    scale = lcm(*{c.denominator for t in tables.values() for v in t.values() for c in v.values()})
     products = 0
 
     class Counted(int):
@@ -377,7 +375,8 @@ def triples_walked(s: AStructure, n: int) -> int:
         k: {w: {b: counted(c) for b, c in vec.items()} for w, vec in t.items()}
         for k, t in tables.items()
     }
-    list(backend._top_sums(counted_tables, scale, s.space.degrees, n))
+    _, index = backend._indexed(counted_tables, s.space.dim)
+    list(backend._top_sums(index, s.space.degrees, n))
     assert products == triple_count(tables, n)
     return products
 
@@ -403,8 +402,9 @@ def test_top_sums_keys_past_64_bits():
     outputs = tables[k][entry] = {b: c * Fraction(3, 2) for b, c in tables[k][entry].items()}
     space = example.space
     s = AStructure(space, maps={j: MultiMap(space, j, t) for j, t in tables.items()})
-    scale = 2
-    sums = dict(backend._top_sums(s.tables_up_to(n), scale, space.degrees, n))
+    scale, index = backend._indexed(s.tables_up_to(n), space.dim)
+    assert scale == 2
+    sums = dict(backend._top_sums(index, space.degrees, n))
     partners = tables[n - k + 1]
     built = {u[:lam] + entry + u[lam + 1 :] for u in partners for lam in range(len(u))
              if u[lam] in outputs}
@@ -426,9 +426,9 @@ def test_every_check_walks_each_arity_once(monkeypatch):
     calls = []
     top_sums = backend._top_sums
 
-    def counting(tables, scale, degrees, n):
+    def counting(index, degrees, n):
         calls.append(n)
-        return top_sums(tables, scale, degrees, n)
+        return top_sums(index, degrees, n)
 
     def no_transfer(*args):
         raise AssertionError("a sweep built the primed maps")
@@ -446,6 +446,29 @@ def test_every_check_walks_each_arity_once(monkeypatch):
     assert calls == list(range(1, 5))
 
 
+def test_each_table_entry_is_indexed_once_per_run(monkeypatch):
+    """One index serves every arity's walk: two ``_index`` calls per entry.
+
+    Each entry w gets idx(w) and its tail's idx(w[1:]) once per run, in
+    ``_indexed``, whichever roles it plays at whichever arities.  The
+    example through arity 8 has 2 + 3 + ... + 9 = 44 entries; indexing each
+    arity's entries afresh at every walk made 468 calls.
+    """
+    calls = []
+    index = backend._index
+
+    def counting(w, dim):
+        calls.append(w)
+        return index(w, dim)
+
+    monkeypatch.setattr(backend, "_index", counting)
+    s = example_structure()
+    assert verify_structure(s, 8, "both").passed
+    entries = sum(len(t) for t in s.tables_up_to(8).values())
+    assert entries == 44
+    assert len(calls) == 2 * entries
+
+
 def test_every_walk_comes_before_the_first_record(monkeypatch):
     """Phase 1 walks arities 1..N; only then does phase 2 build records.
 
@@ -455,9 +478,9 @@ def test_every_walk_comes_before_the_first_record(monkeypatch):
     events = []
     top_sums, to_record = backend._top_sums, backend._to_record
 
-    def walking(tables, scale, degrees, n):
+    def walking(index, degrees, n):
         events.append(("walk", n))
-        return top_sums(tables, scale, degrees, n)
+        return top_sums(index, degrees, n)
 
     def recording(space, check, arity, defects, scale):
         events.append(("record", check, arity))
@@ -628,10 +651,9 @@ def phase_one_verdicts(s: AStructure, max_arity: int) -> tuple[bool, bool]:
     The A-infinity checks pass exactly when every S is zero, linfty exactly
     when every Sym(R) is, with R = sigma * S the bad windows.
     """
-    tables = s.unprimed_version().tables_up_to(max_arity)
-    scale = lcm(*{c.denominator for t in tables.values() for v in t.values() for c in v.values()})
+    _, index = backend._indexed(s.unprimed_version().tables_up_to(max_arity), s.space.dim)
     degrees = s.space.degrees
-    sums = [dict(backend._top_sums(tables, scale, degrees, n)) for n in range(1, max_arity + 1)]
+    sums = [dict(backend._top_sums(index, degrees, n)) for n in range(1, max_arity + 1)]
     ddegs = [d - 1 for d in degrees]
     windows = [backend._desuspended(top, degrees) for top in sums]
     return not any(sums), not any(backend._symmetrize(r, ddegs) for r in windows)

@@ -2,9 +2,11 @@
 
 import pytest
 
+import ainfty.example
 from ainfty import (
     EXAMPLE_SPACE,
     InputError,
+    MultiMap,
     apply_map,
     example_m,
     example_mprime,
@@ -82,6 +84,26 @@ def test_transfer_matches_closed_form(n):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_top_sum_reduction(n):
     assert lemma2_top_sum_check(n)
+
+
+def test_top_sum_reduction_sees_a_negated_entry(monkeypatch):
+    """With m'_2(v1, v2) negated, D(D(.)) no longer reduces to its top sum.
+
+    At arity 2 the terms outside the top sum apply m'_1 twice and never
+    meet m'_2; from arity 3 on, the negated entry no longer cancels there.
+    """
+    mprime = example_mprime
+
+    def negated(n):
+        m = mprime(n)
+        if n != 2:
+            return m
+        table = dict(m.table)
+        table[(V1, V2)] = {b: -c for b, c in table[(V1, V2)].items()}
+        return MultiMap(m.space, 2, table, primed=True)
+
+    monkeypatch.setattr(ainfty.example, "example_mprime", negated)
+    assert [lemma2_top_sum_check(n) for n in (2, 3, 4)] == [True, False, False]
 
 
 def test_top_sum_reduction_needs_arity_two():

@@ -144,9 +144,12 @@ AB_HEADER = "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\n"
         (AB_HEADER + "map 1: a -> +1 b\n", 5, "found ''"),
         (AB_HEADER + "map 1: a -> 1/+2 b\n", 5, "found '1/'"),
         (AB_HEADER + "map 0: -> 1 a\n", 5, "map arity must be >= 1"),
+        (AB_HEADER + "map 2 a a -> 1 a\n", 5, "expected 'map <k>: ...'"),
+        (AB_HEADER + "map 2 3: a a -> 1 a\n", 5, "expected 'map <k>: ...'"),
     ],
     ids=[
         "duplicate-basis-name", "map-before-basis", "plus-coeff", "plus-denominator", "arity-0",
+        "no-colon", "extra-head-token",
     ],
 )
 def test_parse_error_names_its_own_line(text, line, message):

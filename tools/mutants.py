@@ -114,6 +114,13 @@ MUTANTS = (
            "offset = pre * power[n - lam + 1] + iu % power[m - lam - 1] * dim",
            "offset = pre * power[n - lam + 1]",
            "tests/test_backend.py"),
+    Mutant("_indexed: coefficients times scale, not scale / denominator",
+           "src/ainfty/_backend.py",
+           "scale // c.denominator", "scale",
+           "tests/test_backend.py"),
+    Mutant("_indexed: lam = 0 tail offset one power of dim too low", "src/ainfty/_backend.py",
+           "_index(w[1:], dim) * dim", "_index(w[1:], dim)",
+           "tests/test_backend.py"),
     Mutant("_word: letters decoded in reverse", "src/ainfty/_backend.py",
            "return tuple(reversed(letters))", "return tuple(letters)",
            "tests/test_backend.py"),
@@ -124,8 +131,8 @@ MUTANTS = (
            "(item for level in windows for item in level.items())", "windows[-1].items()",
            "tests/test_backend.py"),
     Mutant("_sweep phase 1: arities walked off by one", "src/ainfty/_backend.py",
-           "_top_sums(tables, scale, degrees, n)) for n in arities]",
-           "_top_sums(tables, scale, degrees, n)) for n in range(max_arity)]",
+           "_top_sums(index, degrees, n)) for n in arities]",
+           "_top_sums(index, degrees, n)) for n in range(max_arity)]",
            "tests/test_backend.py"),
     Mutant("_sweep phase 2: whole-word windows dropped", "src/ainfty/_backend.py",
            "sums[n - 1], windows[:n])", "sums[n - 1], windows[:n - 1])",
@@ -153,6 +160,10 @@ MUTANTS = (
            "fraction = cache(lambda c: Fraction(c, denominator))",
            "fraction = lambda c, kept={}: kept.setdefault(abs(c), Fraction(c, denominator))",
            "tests/test_backend.py"),
+    Mutant("lemma2_top_sum_check: never false", "src/ainfty/example.py",
+           "if d_squared(structure, word) != TensorPoly(EXAMPLE_SPACE, restricted):",
+           "if False:",
+           "tests/test_example.py"),
     Mutant("_symmetrize: odd-repeat cancellation dropped", "src/ainfty/linfty.py",
            "if len(odd) != len(set(odd)):", "if False:",
            "tests/test_corpus.py"),
@@ -243,6 +254,9 @@ MUTANTS = (
            "tests/test_formats.py"),
     Mutant("_basis_element: chain degrees not negated", "src/ainfty/formats.py",
            '-degree if convention == "chain" else degree', "degree",
+           "tests/test_formats.py"),
+    Mutant("_map_entry: extra head tokens accepted", "src/ainfty/formats.py",
+           "if not colon or len(parts) != 2:", "if not colon:",
            "tests/test_formats.py"),
     Mutant("_map_entry: homogeneity unchecked", "src/ainfty/formats.py",
            "if space.degree(b) != out_degree:", "if False:",

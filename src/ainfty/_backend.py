@@ -24,8 +24,9 @@ coderivation fail exactly when some S(x) is nonzero, since only the
 window x itself puts a one-letter defect on x, and linfty exactly when
 some Sym(R) is nonzero.  So phase 1 also gives the machine report's
 ``"pass"``, which comes before the first record, and a bound on every
-integer a failure's coefficients print: the CLI holds a report, and checks
-it exactly against Python's digit limit, only when that bound passes it.
+integer a failure's coefficients print: only when that bound passes
+Python's digit limit is a report rendered whole first, before the CLI writes
+any of it.
 
 All three sweeps run on Python ints.  ``_indexed`` takes ``scale``, the
 lcm of the denominators of every table coefficient, once per run, and

@@ -9,7 +9,7 @@ closes standard output early (``| head``), running out of memory, a
 exit 2 with one ``error:`` line.  Reports go to standard output as they are
 written, diagnostics to standard error; no outcome prints a traceback.
 ``verify`` and ``linfty`` write through ``report._pieces``, which alone
-decides whether a report streams or is held and checked.
+decides whether a report streams or is rendered whole first.
 """
 
 from __future__ import annotations

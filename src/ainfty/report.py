@@ -4,13 +4,13 @@ The writers take a report as a stream: its head (structure, convention,
 maximum arity and verdict), a bound on every integer its failures print or
 ``None``, and its (check, arity) cells, each a header (check, arity, words,
 failure count) and then its failures one at a time, in word order.
-``_pieces`` yields a stream in pieces, in either format, one line or one
-failure at a time, so a writer never holds the rendered report whole.  Only
-this module knows Python's int-to-str digit limit: ``_refuse_unprintable``
-refuses word counts too long before any sweep, and ``_pieces`` holds and
-checks the cells first unless the bound is below it, so a refused report
-writes nothing.  ``_stream`` gives a held ``Report`` the stream's shape.
-``_utf8`` encodes every piece of stdout; ``emit_report`` joins a whole report's.
+``_pieces`` gives a stream in either format, one line or one failure at a
+time, unless its bound is ``None`` or passes Python's int-to-str digit
+limit: then it renders the report whole first, as one piece, so a refused
+report writes nothing.  Only this module knows that limit;
+``_refuse_unprintable`` refuses word counts too long before any sweep.
+``_stream`` gives a held ``Report`` the stream's shape.  ``_utf8`` encodes
+every piece of stdout; ``emit_report`` joins a whole report's.
 """
 
 from __future__ import annotations
@@ -174,24 +174,6 @@ def _machine(head: Head, cells: Iterable[Cell]) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _printed_ints(head: Head, cells: list[Cell], format: str) -> Iterator[int]:
-    """Every integer that ``format`` prints of held cells, some of them more than once.
-
-    A record's failure count in the text layout is at most the total.
-    """
-    yield head[2]
-    for _, arity, words, _, failures in cells:
-        yield arity
-        yield words
-        for f in failures:
-            for c, _ in f.defect:
-                yield c.numerator
-                yield c.denominator
-    if format == "text":  # the result line's totals
-        yield sum(cell[3] for cell in cells)
-        yield sum(cell[2] for cell in cells)
-
-
 def _digit_limit() -> int:
     """``sys.get_int_max_str_digits()``: 0 for no limit, as on Pythons before 3.10.7."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -236,23 +218,27 @@ def _stream(report: Report) -> Stream:
     return head, None, cells
 
 
-def _pieces(stream: Stream, format: str) -> Iterator[str]:
+def _pieces(stream: Stream, format: str) -> Iterable[str]:
     """The stream in ``format`` in pieces, refused before the first if unprintable.
 
     ``str()`` refuses an int of at least ``10**_digit_limit()`` in absolute
-    value.  Below that bound the cells stream as they come; otherwise they
-    are held and every integer they print is checked first.
+    value.  Below that bound the cells stream as they come; otherwise the
+    report is rendered whole first, so that ``str()`` itself checks every
+    integer it prints before the one piece is returned.
     """
     if format not in ("text", "machine"):
-        raise ValueError(f"unknown report format {format!r}")
+        raise InputError(f"unknown report format {format!r}")
     head, bound, cells = stream
+    pieces = _machine(head, cells) if format == "machine" else _text(head, cells)
     limit = _digit_limit()
-    big = 10**limit
-    if limit and (bound is None or bound >= big):
-        cells = [(c, n, words, count, tuple(found)) for c, n, words, count, found in cells]
-        if any(abs(i) >= big for i in _printed_ints(head, cells, format)):
-            raise _unprintable("the report", limit)
-    return _machine(head, cells) if format == "machine" else _text(head, cells)
+    if limit and (bound is None or bound >= 10**limit):
+        try:
+            return ["".join(pieces)]
+        except ValueError as exc:
+            if "integer string conversion" not in str(exc):
+                raise  # not the digit refusal: a bug, which must not exit 2
+            raise _unprintable("the report", limit) from None
+    return pieces
 
 
 def _utf8(pieces: Iterable[str]) -> Iterator[bytes]:

@@ -277,13 +277,13 @@ def test_top_sums_hold_one_first_letter_at_a_time():
 def test_sweep_copies_neither_tables_nor_defects():
     """The z32 sweep keeps no scaled copy of the tables and no defect copy.
 
-    Each walk indexes only its own arity's entries with scaled coefficients,
-    the cells hand their defects to the records as they are, and each record
-    builds one ``Fraction`` per distinct coefficient.  The traced peak is
-    about 0.57-0.75 MB (less when warm allocator free lists serve some
-    objects untraced); with a run-long scaled copy of the tables, a
-    ``Fraction`` per term and one-letter defects rewrapped as words it was
-    about 1.0-1.06 MB.
+    One index of the entries with scaled coefficients is built per run and
+    dropped before the cells, the cells hand their defects to the records as
+    they are, and each record builds one ``Fraction`` per distinct
+    coefficient.  The traced peak is about 0.57-0.75 MB (less when warm
+    allocator free lists serve some objects untraced); with a run-long
+    scaled copy of the tables, a ``Fraction`` per term and one-letter
+    defects rewrapped as words it was about 1.0-1.06 MB.
     """
     s = z32_broken()
     tracemalloc.start()

@@ -669,9 +669,22 @@ def _one_letter_chain(first: str, second: str) -> str:
     )
 
 
+class _PieceCountingStdout(_RecordingBinaryStdout):
+    """Records, at each write, how many pieces the writer had yielded by then."""
+
+    def __init__(self, yielded):
+        super().__init__()
+        self.yielded = yielded
+        self.seen = []
+
+    def write(self, data):
+        self.seen.append(len(self.yielded))
+        return super().write(data)
+
+
 # phase 1 bounds every integer a failure prints by max(max_arity * max|S|,
 # scale**2), with S scaled by scale**2; the CLI holds the report only when
-# that bound reaches 10**4300, and then checks it exactly
+# that bound reaches 10**4300, and then renders it whole before writing it
 @pytest.mark.parametrize(
     "first, second, max_arity, held, code",
     [
@@ -683,27 +696,67 @@ def _one_letter_chain(first: str, second: str) -> str:
     ],
 )
 def test_phase_one_bound_decides_when_the_report_is_held(
-    first, second, max_arity, held, code, digit_limit, tmp_path, monkeypatch, capsysbinary
+    first, second, max_arity, held, code, digit_limit, tmp_path, monkeypatch
 ):
-    calls = []
-    printed_ints = report_module._printed_ints
+    """Held means the writer yielded its last piece before stdout's first write."""
+    yielded = []
+    machine = report_module._machine
 
-    def holding(*args):
-        calls.append(args)
-        return printed_ints(*args)
+    def counted(*args):
+        for piece in machine(*args):
+            yielded.append(piece)
+            yield piece
 
-    monkeypatch.setattr(report_module, "_printed_ints", holding)
+    monkeypatch.setattr(report_module, "_machine", counted)
+    stdout = _PieceCountingStdout(yielded)
+    monkeypatch.setattr(sys, "stdout", stdout)
     path = tmp_path / "chain.astr"
     path.write_text(_one_letter_chain(first, second))
     argv = ["verify", "--check", "both", "--format", "machine", "--input", str(path)]
     assert run_cli([*argv, "--max-arity", str(max_arity)]) == code
-    assert bool(calls) is held
-    out = capsysbinary.readouterr().out
+    assert (stdout.seen[:1] in ([], [len(yielded)])) is held
+    out = b"".join(stdout.writes)
     if code == 2:
         assert out == b""
     else:
         s = parse_structure(_one_letter_chain(first, second), name=path.name)
         assert out == emit_report(verify_structure(s, max_arity), format="machine")
+
+
+def _format_terms_raising(terms):
+    raise ValueError("not the digit refusal")
+
+
+# only Python's digit refusal becomes exit 2; any other ValueError of a held
+# report's writer is a bug
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (_one_letter_chain("1", "1"), ["linfty"]),
+        (_one_letter_chain(f"{5 * 10**2149}", f"{10**2150}"), ["verify", "--check", "both"]),
+    ],
+    ids=["linfty", "verify-over-bound"],
+)
+def test_held_report_other_value_error_exits_three(
+    text, argv, digit_limit, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(report_module, "_format_terms", _format_terms_raising)
+    path = tmp_path / "chain.astr"
+    path.write_text(text)
+    argv = [*argv, "--format", "text", "--input", str(path), "--max-arity", "2"]
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError('not the digit refusal')\n"
+
+
+def test_emit_report_passes_other_value_errors_through(digit_limit, monkeypatch):
+    monkeypatch.setattr(report_module, "_format_terms", _format_terms_raising)
+    failure = Failure(word=("a",), defect=((Fraction(1), ("b",)),))
+    report = Report("s", "cochain", 1, (CheckRecord("direct", 1, 2, (failure,)),))
+    with pytest.raises(ValueError, match="not the digit refusal") as exc:
+        emit_report(report, format="text")
+    assert type(exc.value) is ValueError
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ainfty import (
+    AinftyError,
     AStructure,
     BasisElement,
     CheckRecord,
@@ -140,6 +141,8 @@ AB_HEADER = "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\n"
             "duplicate basis name 'a'",
         ),
         ("ainfty v1\nconvention cochain\nmap 1: a -> 1 a\n", 3, "at least one basis line"),
+        ("ainfty v1\nconvention banana\nbasis a 0\n", 2,
+         "expected 'convention cochain' or 'convention chain'"),
         # '+' separates terms, so no part of a coefficient can carry one
         (AB_HEADER + "map 1: a -> +1 b\n", 5, "found ''"),
         (AB_HEADER + "map 1: a -> 1/+2 b\n", 5, "found '1/'"),
@@ -148,8 +151,8 @@ AB_HEADER = "ainfty v1\nconvention cochain\nbasis a 0\nbasis b 1\n"
         (AB_HEADER + "map 2 3: a a -> 1 a\n", 5, "expected 'map <k>: ...'"),
     ],
     ids=[
-        "duplicate-basis-name", "map-before-basis", "plus-coeff", "plus-denominator", "arity-0",
-        "no-colon", "extra-head-token",
+        "duplicate-basis-name", "map-before-basis", "unknown-convention", "plus-coeff",
+        "plus-denominator", "arity-0", "no-colon", "extra-head-token",
     ],
 )
 def test_parse_error_names_its_own_line(text, line, message):
@@ -375,8 +378,9 @@ def test_text_report_escapes_line_breaks_in_names(brk):
 
 def test_emit_report_unknown_format():
     report = verify_structure(parse_structure(EXAMPLE_FILE), 1, mode="direct")
-    with pytest.raises(ValueError):
+    with pytest.raises(AinftyError, match="unknown report format 'xml'") as exc:
         emit_report(report, format="xml")
+    assert isinstance(exc.value, ValueError)
 
 
 def machine_oracle(report):

@@ -191,14 +191,20 @@ MUTANTS = (
     Mutant("symmetrize_prime: check skipped", "src/ainfty/linfty.py",
            "_check_graded_symmetric(mp.space, table)", "pass",
            "tests/test_linfty.py"),
-    Mutant("_pieces: digit pre-pass skipped", "src/ainfty/report.py",
-           "if any(abs(i) >= big for i in _printed_ints(head, cells, format)):", "if False:",
+    Mutant("_pieces: unknown format a bare ValueError", "src/ainfty/report.py",
+           "raise InputError(f\"unknown report format", "raise ValueError(f\"unknown report format",
+           "tests/test_formats.py"),
+    Mutant("_pieces: held report not rendered first", "src/ainfty/report.py",
+           'return ["".join(pieces)]', "return pieces",
            "tests/test_cli.py"),
-    Mutant("_pieces: > for >=", "src/ainfty/report.py",
-           "abs(i) >= big", "abs(i) > big",
+    Mutant("_pieces: every ValueError taken for the digit refusal", "src/ainfty/report.py",
+           'if "integer string conversion" not in str(exc):', "if False:",
+           "tests/test_cli.py"),
+    Mutant("_pieces: digit refusal re-raised as it is", "src/ainfty/report.py",
+           'raise _unprintable("the report", limit) from None', "raise",
            "tests/test_cli.py"),
     Mutant("_pieces: phase-1 digit bound off by one", "src/ainfty/report.py",
-           "bound >= big", "bound > big",
+           "bound >= 10**limit", "bound > 10**limit",
            "tests/test_cli.py"),
     Mutant("_stream: bound 0 for None", "src/ainfty/report.py",
            "return head, None, cells", "return head, 0, cells",
@@ -211,9 +217,6 @@ MUTANTS = (
            "tests/test_cli.py"),
     Mutant("_refuse_unprintable: power guard at limit, not 4 * limit", "src/ainfty/report.py",
            "<= 4 * limit:", "<= limit:",
-           "tests/test_cli.py"),
-    Mutant("_printed_ints: text totals unchecked", "src/ainfty/report.py",
-           'if format == "text":', "if False:",
            "tests/test_cli.py"),
     Mutant("_json_stream: no ',' between streamed failures", "src/ainfty/report.py",
            'sep = ","', 'sep = ""',
@@ -266,6 +269,9 @@ MUTANTS = (
            "tests/test_formats.py"),
     Mutant("parse_structure: duplicate basis names accepted", "src/ainfty/formats.py",
            "if element.name in basis:", "if False:",
+           "tests/test_formats.py"),
+    Mutant("parse_structure: unknown convention accepted", "src/ainfty/formats.py",
+           'raise InputError("expected " + " or ".join(map(repr, _CONVENTION_LINES)))', "pass",
            "tests/test_formats.py"),
     # the exit-code contract of cli.py: 1 only for a defect, 2, 3 and 130
     Mutant("run_cli: a broken pipe exits 1", "src/ainfty/cli.py",

@@ -76,10 +76,6 @@ class Report(Value):
     def passed(self) -> bool:
         return all(not rec.failures for rec in self.checks)
 
-    @property
-    def failure_count(self) -> int:
-        return sum(len(rec.failures) for rec in self.checks)
-
 
 # the head of a report as the writers take it: structure, convention, max arity, verdict
 Head = tuple[str, str, int, bool]
@@ -110,16 +106,16 @@ def _text(head: Head, cells: Iterable[Cell]) -> Iterator[str]:
     yield f"structure: {structure.translate(_ONE_LINE)}\n"
     yield f"convention: {convention}\n"
     yield f"max arity: {max_arity}\n"
-    failure_count = total_words = 0
+    total_failures = total_words = 0
     for check, arity, words, count, failures in cells:
-        failure_count += count
+        total_failures += count
         total_words += words
         yield f"check {check}, arity {arity}: {words} words, {count} failures\n"
         for f in failures:
             word = ",".join(f.word).translate(_ONE_LINE)
             yield f"  word {word}: defect {_format_terms(f.defect)}\n"
-    verdict = "FAIL" if failure_count else "PASS"
-    yield f"result: {verdict} ({failure_count} failures in {total_words} words)\n"
+    verdict = "FAIL" if total_failures else "PASS"
+    yield f"result: {verdict} ({total_failures} failures in {total_words} words)\n"
 
 
 _I = tuple("\n" + "  " * depth for depth in range(9))  # line start at each depth

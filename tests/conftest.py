@@ -186,6 +186,15 @@ def inverse(g: LinearMap, dim: int) -> LinearMap:
     return {i: {j: c for j, c in enumerate(rows[i][dim:]) if c} for i in range(dim)}
 
 
+def transpose(g: LinearMap) -> LinearMap:
+    """The transpose of ``g``: letter j -> {letter i: coefficient of j in g(i)}."""
+    out: LinearMap = {}
+    for i, vec in g.items():
+        for j, c in vec.items():
+            out.setdefault(j, {})[i] = c
+    return out
+
+
 def transformed_word(g: LinearMap, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     """``g`` applied to each letter of ``word``: g^{(x)n}(word) as {word: coefficient}."""
     out: dict[tuple[int, ...], Fraction] = {}
@@ -203,12 +212,9 @@ def conjugated(s: AStructure, g: LinearMap) -> AStructure:
     S^g = g o S o (g^-1)^{(x)n}; a permutation ``g`` only relabels letters.
     """
     space = s.space
-    # the transpose of g^-1: an entry's word w is read by each word x whose
-    # image under (g^-1)^{(x)k} holds w, with that coefficient
-    reads: LinearMap = {}
-    for x, vec in inverse(g, space.dim).items():
-        for a, c in vec.items():
-            reads.setdefault(a, {})[x] = c
+    # an entry's word w is read by each word x whose image under (g^-1)^{(x)k}
+    # holds w, with that coefficient
+    reads = transpose(inverse(g, space.dim))
     maps = {}
     for k in s.arities:
         table: dict[tuple[int, ...], dict[int, Fraction]] = {}

@@ -394,7 +394,6 @@ def test_d_squared_output_is_degree_homogeneous(data):
 def test_verify_example_passes_both_modes():
     report = verify_structure(example_structure(), 5, mode="both")
     assert report.passed
-    assert report.failure_count == 0
     assert [rec.check for rec in report.checks] == ["direct"] * 5 + ["coderivation"] * 5
     assert [rec.words for rec in report.checks[:5]] == [3, 9, 27, 81, 243]
 

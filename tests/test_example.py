@@ -114,7 +114,6 @@ def test_top_sum_reduction_needs_arity_two():
 def test_structure_verifies_at_desk_scale():
     report = verify_structure(example_structure(), 8, mode="both")
     assert report.passed
-    assert report.failure_count == 0
 
 
 def test_builtin_registry():

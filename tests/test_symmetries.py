@@ -22,7 +22,9 @@ from ainfty import (
     verify_linfty,
     verify_structure,
 )
-from conftest import conjugated, direct_sum, inverse, random_structures, transformed_word
+from conftest import (
+    conjugated, direct_sum, inverse, random_structures, transformed_word, transpose,
+)
 from test_engine import mutated_structure
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -66,6 +68,11 @@ def mixing(dim: int, i: int, j: int) -> dict[int, dict[int, Fraction]]:
     return g
 
 
+def named(g: dict, name) -> dict:
+    """The linear map ``g`` on letter names instead of letter indices."""
+    return {name(a): {name(b): c for b, c in vec.items()} for a, vec in g.items()}
+
+
 def lowest_failing(records: dict) -> dict[str, int | None]:
     checks = {check for check, _ in records}
     return {
@@ -101,7 +108,10 @@ def test_a_rational_conjugation_transforms_each_direct_defect(s, data):
     """S^g = g S (g^-1)^{(x)n}; every verdict and lowest failing arity stays.
 
     g mixes two letters of one degree, so a failure may spread over more
-    words, but each check's arities with a failure are the same.
+    words, but each check's arities with a failure are the same.  The
+    coderivation and linfty records transform the same way, with g on each
+    letter of each defect word: D^g D^g = G D D G^-1 for G = g on each
+    letter, and a degree-0 g commutes with symmetrization.
     """
     degrees = s.space.degrees
     pairs = [(i, j) for i in range(len(degrees)) for j in range(i + 1, len(degrees))
@@ -126,6 +136,19 @@ def test_a_rational_conjugation_transforms_each_direct_defect(s, data):
             if out:
                 expected[names(x)] = out
         assert after[("direct", n)] == expected
+    # a record's word x is read by each word y whose image under (g^-1)^{(x)n} holds x
+    reads, g_names = named(transpose(g_inv), s.space.name), named(g, s.space.name)
+    for check in ("coderivation", "linfty"):
+        for n in range(1, 5):
+            expected = {}
+            for x, defect in before[(check, n)].items():
+                for y, weight in transformed_word(reads, x).items():
+                    out = expected.setdefault(y, {})
+                    for w, coeff in defect.items():
+                        for w2, c2 in transformed_word(g_names, w).items():
+                            out[w2] = out.get(w2, 0) + weight * coeff * c2
+            expected = {y: {w: c for w, c in out.items() if c} for y, out in expected.items()}
+            assert after[(check, n)] == {y: out for y, out in expected.items() if out}, (check, n)
 
 
 def test_a_rational_conjugation_of_the_mutated_example():
